@@ -7,10 +7,12 @@
 //! clusters and compare at matched accuracy. This module packages that loop
 //! so the `marqsim-bench` binaries stay thin.
 
+use marqsim_linalg::Matrix;
 use marqsim_pauli::Hamiltonian;
+use marqsim_sim::exact::exact_unitary;
 
 use crate::fitting::{cluster_mean_std, interpolate_at, mean_std};
-use crate::metrics::{evaluate_fidelity, SequenceStats};
+use crate::metrics::{evaluate_fidelity_against, SequenceStats};
 use crate::{CompileError, Compiler, CompilerConfig, HttGraph, TransitionStrategy};
 
 /// The default precision sweep used throughout the evaluation (§6.1).
@@ -93,7 +95,9 @@ pub fn point_seed(config: &SweepConfig, eps_idx: usize, rep: usize) -> u64 {
 ///
 /// This is the unit of work both the serial [`run_sweep`] loop and the
 /// engine's parallel executor share: the output depends only on
-/// `(htt, config, epsilon, seed)`, never on scheduling order.
+/// `(htt, config, epsilon, seed)`, never on scheduling order. With fidelity
+/// on, each call computes the exact unitary; [`compile_point_with`] takes
+/// it precomputed instead.
 ///
 /// # Errors
 ///
@@ -104,19 +108,35 @@ pub fn compile_point(
     epsilon: f64,
     seed: u64,
 ) -> Result<ExperimentPoint, CompileError> {
+    let exact = config
+        .evaluate_fidelity
+        .then(|| exact_unitary(htt.hamiltonian(), config.time));
+    compile_point_with(htt, config, epsilon, seed, exact.as_ref())
+}
+
+/// [`compile_point`] scoring the fidelity against a precomputed
+/// `exact = exp(i·H·t)` of the graph's working Hamiltonian at
+/// `config.time`, so the points of one `(H, t)` share one matrix
+/// exponential. The point's fidelity is evaluated exactly when `exact` is
+/// given; callers pass it iff `config.evaluate_fidelity`.
+///
+/// # Errors
+///
+/// Propagates the compilation failure.
+pub fn compile_point_with(
+    htt: &HttGraph,
+    config: &SweepConfig,
+    epsilon: f64,
+    seed: u64,
+    exact: Option<&Matrix>,
+) -> Result<ExperimentPoint, CompileError> {
     let compiler_config = CompilerConfig::new(config.time, epsilon)
         .with_seed(seed)
         .without_circuit();
     let result = Compiler::new(compiler_config).compile_with_htt(htt)?;
-    let fidelity = if config.evaluate_fidelity {
-        Some(evaluate_fidelity(
-            &result.hamiltonian,
-            config.time,
-            &result.sequence,
-        ))
-    } else {
-        None
-    };
+    let fidelity = exact.map(|exact| {
+        evaluate_fidelity_against(&result.hamiltonian, config.time, &result.sequence, exact)
+    });
     Ok(ExperimentPoint {
         epsilon,
         seed,
@@ -129,8 +149,8 @@ pub fn compile_point(
 /// Runs a sweep of one strategy over one Hamiltonian, serially.
 ///
 /// The HTT graph (and therefore the min-cost-flow solve behind `P_gc`) is
-/// built once and reused for every point; the per-point RNG streams come
-/// from [`point_seed`].
+/// built once and reused for every point, and so is the exact unitary when
+/// fidelity is on; the per-point RNG streams come from [`point_seed`].
 ///
 /// # Errors
 ///
@@ -141,11 +161,20 @@ pub fn run_sweep(
     config: &SweepConfig,
 ) -> Result<SweepResult, CompileError> {
     let htt = HttGraph::build(ham, strategy)?;
+    let exact = config
+        .evaluate_fidelity
+        .then(|| exact_unitary(htt.hamiltonian(), config.time));
     let mut points = Vec::new();
     for (eps_idx, &epsilon) in config.epsilons.iter().enumerate() {
         for rep in 0..config.repeats {
             let seed = point_seed(config, eps_idx, rep);
-            points.push(compile_point(&htt, config, epsilon, seed)?);
+            points.push(compile_point_with(
+                &htt,
+                config,
+                epsilon,
+                seed,
+                exact.as_ref(),
+            )?);
         }
     }
     Ok(SweepResult {

@@ -17,6 +17,7 @@
 //! model up to the ladder-ordering freedom discussed in the `marqsim-circuit`
 //! cancellation pass.
 
+use marqsim_linalg::Matrix;
 use marqsim_pauli::algebra::cnot_count_between;
 use marqsim_pauli::{Hamiltonian, PauliOp, PauliString};
 use marqsim_sim::{exact, fidelity, UnitaryAccumulator};
@@ -138,12 +139,30 @@ pub fn sequence_stats(ham: &Hamiltonian, sequence: &[usize]) -> SequenceStats {
 ///
 /// Each sample contributes a rotation angle `λ t / N`; merged repeats
 /// contribute proportionally larger angles. The cost is `O(4^n)` per merged
-/// segment, so this is intended for Hamiltonians of at most ~10 qubits.
+/// segment plus one dense matrix exponential, so this is intended for
+/// Hamiltonians of at most ~10 qubits. Callers scoring many sequences of
+/// one `(H, t)` compute the exponential once with
+/// [`exact::exact_unitary`] and pass it to [`evaluate_fidelity_against`].
 ///
 /// # Panics
 ///
 /// Panics if an index in `sequence` is out of range.
 pub fn evaluate_fidelity(ham: &Hamiltonian, t: f64, sequence: &[usize]) -> f64 {
+    evaluate_fidelity_against(ham, t, sequence, &exact::exact_unitary(ham, t))
+}
+
+/// [`evaluate_fidelity`] against a precomputed `exact = exp(iHt)`.
+///
+/// # Panics
+///
+/// Panics if an index in `sequence` is out of range, or if `exact` is not
+/// `2^n × 2^n` for the `n` qubits of `ham`.
+pub fn evaluate_fidelity_against(
+    ham: &Hamiltonian,
+    t: f64,
+    sequence: &[usize],
+    exact: &Matrix,
+) -> f64 {
     let n = ham.num_qubits();
     let lambda = ham.lambda();
     let num_samples = sequence.len().max(1);
@@ -155,8 +174,7 @@ pub fn evaluate_fidelity(ham: &Hamiltonian, t: f64, sequence: &[usize]) -> f64 {
         let sign = ham.term(idx).coefficient.signum();
         acc.apply_pauli_rotation(&ham.term(idx).string, sign * tau * mult as f64);
     }
-    let exact_u = exact::exact_unitary(ham, t);
-    fidelity::fidelity_with_matrix(&acc, &exact_u)
+    fidelity::fidelity_with_matrix(&acc, exact)
 }
 
 #[cfg(test)]

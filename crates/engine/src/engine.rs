@@ -12,14 +12,16 @@ use std::sync::mpsc::channel;
 use std::sync::Arc;
 
 use marqsim_core::experiment::{
-    compile_point, point_seed, ExperimentPoint, SweepConfig, SweepResult,
+    compile_point_with, point_seed, ExperimentPoint, SweepConfig, SweepResult,
 };
-use marqsim_core::metrics::evaluate_fidelity;
+use marqsim_core::metrics::evaluate_fidelity_against;
 use marqsim_core::{
     CompileError, CompileResult, Compiler, CompilerConfig, HttGraph, SolverKind, TransitionStrategy,
 };
+use marqsim_linalg::Matrix;
 use marqsim_obs::{metrics, trace};
 use marqsim_pauli::Hamiltonian;
+use marqsim_sim::exact::exact_unitary;
 
 use crate::cache::{hamiltonian_fingerprint, CacheConfig, CacheKey, StrategyKey, TransitionCache};
 use crate::error::EngineError;
@@ -296,6 +298,15 @@ impl BuiltinJob {
             BuiltinJob::Sweep(req) => &req.strategy,
         }
     }
+
+    /// The evolution time fidelities are scored at, when the job
+    /// evaluates fidelity.
+    fn fidelity_time(&self) -> Option<f64> {
+        match self {
+            BuiltinJob::Compile(req) => req.evaluate_fidelity.then_some(req.config.time),
+            BuiltinJob::Sweep(req) => req.config.evaluate_fidelity.then_some(req.config.time),
+        }
+    }
 }
 
 /// The result of one built-in job.
@@ -556,7 +567,7 @@ impl Engine {
                 // everything the workload does — graph resolution, pool
                 // submissions (whose tasks re-parent here), persist I/O —
                 // nests under it in the trace.
-                let _job_span = trace::Span::enter("job")
+                let job_span = trace::Span::enter("job")
                     // Named `job`, not `id`: the record already carries
                     // the span's own `id` key.
                     .field("job", job_id)
@@ -598,6 +609,10 @@ impl Engine {
                 coordinator_state.mark_finished();
                 engine.active_jobs.fetch_sub(1, Ordering::Relaxed);
                 metrics::global().gauge("marqsim_engine_active_jobs").sub(1);
+                // Record the job span before the outcome is handed over, so
+                // a caller that has collected the outcome also finds the
+                // span in the trace.
+                drop(job_span);
                 on_complete(id, outcome);
             })
             .expect("spawn job coordinator");
@@ -695,8 +710,11 @@ impl Engine {
     /// Execution has two phases. First every job's HTT graph is resolved
     /// (through the cache when enabled) with the graph builds themselves
     /// running on the pool — distinct Hamiltonians' min-cost-flow solves
-    /// proceed concurrently. Then all jobs are expanded into point-level
-    /// tasks (one per compile, one per sweep point) on a single work queue.
+    /// proceed concurrently — followed by the exact reference unitary of
+    /// every job with fidelity on, once per distinct (working Hamiltonian,
+    /// t). Then all jobs are expanded into point-level tasks (one per
+    /// compile, one per sweep point) on a single work queue, each holding
+    /// its job's shared graph and exact unitary.
     ///
     /// Determinism: each task's output is a pure function of its request
     /// (sweep points use `experiment::point_seed`, the serial seed stream),
@@ -723,13 +741,13 @@ impl Engine {
                 .field("backend", solver.as_str());
             self.resolve_graphs(&jobs, priority, solver)
         };
+        let resolved = self.resolve_exacts(&jobs, graphs, priority);
 
         // Phase 2: expand into point-level tasks.
         let mut tasks: Vec<Task> = Vec::new();
-        for (job_idx, (job, graph)) in jobs.iter().zip(&graphs).enumerate() {
-            let graph = match graph {
-                Ok(graph) => Arc::clone(graph),
-                Err(_) => continue,
+        for (job_idx, (job, resolved)) in jobs.iter().zip(&resolved).enumerate() {
+            let Ok(Resolved { graph, exact }) = resolved else {
+                continue;
             };
             match job {
                 BuiltinJob::Compile(req) => tasks.push(Task {
@@ -737,7 +755,8 @@ impl Engine {
                     slot: 0,
                     kind: TaskKind::Compile {
                         request: req.clone(),
-                        graph,
+                        graph: Arc::clone(graph),
+                        exact: exact.clone(),
                     },
                 }),
                 BuiltinJob::Sweep(req) => {
@@ -747,7 +766,8 @@ impl Engine {
                                 job: job_idx,
                                 slot: eps_idx * req.config.repeats + rep,
                                 kind: TaskKind::SweepPoint {
-                                    graph: Arc::clone(&graph),
+                                    graph: Arc::clone(graph),
+                                    exact: exact.clone(),
                                     config: req.config.clone(),
                                     epsilon,
                                     seed: point_seed(&req.config, eps_idx, rep),
@@ -770,7 +790,66 @@ impl Engine {
         );
 
         // Phase 3: reassemble per job.
-        self.assemble(jobs, graphs, task_meta, outputs)
+        self.assemble(jobs, resolved, task_meta, outputs)
+    }
+
+    /// Resolves the exact reference unitary `exp(i·H·t)` of every job that
+    /// evaluates fidelity and whose graph resolved, computing each distinct
+    /// (working Hamiltonian, t) of the batch once on the pool. Nothing is
+    /// kept across batches. A panicking computation fails the jobs that
+    /// needed it.
+    fn resolve_exacts(
+        &self,
+        jobs: &[BuiltinJob],
+        graphs: Vec<Result<Arc<HttGraph>, EngineError>>,
+        priority: Priority,
+    ) -> Vec<Result<Resolved, EngineError>> {
+        let mut distinct: Vec<(Arc<HttGraph>, f64)> = Vec::new();
+        let job_to_distinct: Vec<Option<usize>> = jobs
+            .iter()
+            .zip(&graphs)
+            .map(|(job, graph)| {
+                let (Some(t), Ok(graph)) = (job.fidelity_time(), graph) else {
+                    return None;
+                };
+                let shared = distinct.iter().position(|(other, other_t)| {
+                    other_t.to_bits() == t.to_bits() && other.hamiltonian() == graph.hamiltonian()
+                });
+                Some(shared.unwrap_or_else(|| {
+                    distinct.push((Arc::clone(graph), t));
+                    distinct.len() - 1
+                }))
+            })
+            .collect();
+
+        let _span = (!distinct.is_empty())
+            .then(|| trace::Span::enter("resolve_exact").field("exacts", distinct.len()));
+        let exacts = self.pool.map_at(
+            priority,
+            distinct,
+            Arc::new(|_idx, (graph, t): (Arc<HttGraph>, f64)| {
+                Arc::new(exact_unitary(graph.hamiltonian(), t))
+            }),
+            |_| {},
+        );
+
+        jobs.iter()
+            .zip(graphs)
+            .zip(job_to_distinct)
+            .map(|((job, graph), index)| {
+                let exact = match index.map(|index| &exacts[index]) {
+                    None => None,
+                    Some(Ok(exact)) => Some(Arc::clone(exact)),
+                    Some(Err(message)) => {
+                        return Err(EngineError::panic(job.label(), message.clone()))
+                    }
+                };
+                Ok(Resolved {
+                    graph: graph?,
+                    exact,
+                })
+            })
+            .collect()
     }
 
     /// Resolves each job's HTT graph through the cache, building each
@@ -911,7 +990,7 @@ impl Engine {
     fn assemble(
         &self,
         jobs: Vec<BuiltinJob>,
-        graphs: Vec<Result<Arc<HttGraph>, EngineError>>,
+        resolved: Vec<Result<Resolved, EngineError>>,
         task_meta: Vec<(usize, usize)>,
         outputs: Vec<Result<TaskOutput, String>>,
     ) -> Vec<Result<BuiltinOutcome, EngineError>> {
@@ -925,10 +1004,10 @@ impl Engine {
         }
 
         jobs.into_iter()
-            .zip(graphs)
+            .zip(resolved)
             .zip(per_job)
-            .map(|((job, graph), mut outputs)| {
-                graph?;
+            .map(|((job, resolved), mut outputs)| {
+                resolved?;
                 outputs.sort_by_key(|(slot, _)| *slot);
                 match job {
                     BuiltinJob::Compile(req) => {
@@ -972,6 +1051,14 @@ impl Engine {
     }
 }
 
+/// A job's phase-1 products, shared by all of its tasks.
+struct Resolved {
+    graph: Arc<HttGraph>,
+    /// `exp(i·H·t)` of the graph's working Hamiltonian, for jobs that
+    /// evaluate fidelity.
+    exact: Option<Arc<Matrix>>,
+}
+
 /// One point-level unit of work.
 struct Task {
     job: usize,
@@ -983,9 +1070,11 @@ enum TaskKind {
     Compile {
         request: CompileRequest,
         graph: Arc<HttGraph>,
+        exact: Option<Arc<Matrix>>,
     },
     SweepPoint {
         graph: Arc<HttGraph>,
+        exact: Option<Arc<Matrix>>,
         config: SweepConfig,
         epsilon: f64,
         seed: u64,
@@ -1005,15 +1094,20 @@ impl Task {
             return TaskOutput::Cancelled;
         }
         match self.kind {
-            TaskKind::Compile { request, graph } => {
+            TaskKind::Compile {
+                request,
+                graph,
+                exact,
+            } => {
                 let outcome = Compiler::new(request.config.clone())
                     .compile_with_htt(&graph)
                     .map(|result| {
-                        let fidelity = request.evaluate_fidelity.then(|| {
-                            evaluate_fidelity(
+                        let fidelity = exact.map(|exact| {
+                            evaluate_fidelity_against(
                                 &result.hamiltonian,
                                 request.config.time,
                                 &result.sequence,
+                                &exact,
                             )
                         });
                         CompileOutcome {
@@ -1026,10 +1120,17 @@ impl Task {
             }
             TaskKind::SweepPoint {
                 graph,
+                exact,
                 config,
                 epsilon,
                 seed,
-            } => TaskOutput::Point(compile_point(&graph, &config, epsilon, seed)),
+            } => TaskOutput::Point(compile_point_with(
+                &graph,
+                &config,
+                epsilon,
+                seed,
+                exact.as_deref(),
+            )),
         }
     }
 }

@@ -32,8 +32,8 @@ pub fn fidelity(a: &Matrix, b: &Matrix) -> f64 {
 }
 
 /// Fidelity between an accumulated circuit unitary and a dense reference,
-/// computed directly from the accumulator's columns (no dense conversion of
-/// the accumulated unitary).
+/// computed directly from the accumulator's row-major planes (no dense
+/// conversion of the accumulated unitary).
 ///
 /// # Panics
 ///
@@ -42,14 +42,16 @@ pub fn fidelity_with_matrix(acc: &UnitaryAccumulator, reference: &Matrix) -> f64
     let dim = 1usize << acc.num_qubits();
     assert_eq!(reference.rows(), dim, "reference dimension mismatch");
     assert!(reference.is_square(), "reference must be square");
-    // tr(A B†) = Σ_j ⟨b_j | a_j⟩ where a_j, b_j are the j-th columns.
-    let mut tr = Complex::ZERO;
-    for (j, col) in acc.columns().iter().enumerate() {
-        for (i, &aij) in col.amplitudes().iter().enumerate() {
-            tr += aij * reference[(i, j)].conj();
+    // tr(A B†) = Σ_{i,k} A[i][k] · conj(B[i][k]), walked row by row.
+    let (mut tr_re, mut tr_im) = (0.0, 0.0);
+    for i in 0..dim {
+        let (re, im) = acc.row(i);
+        for ((&ar, &ai), b) in re.iter().zip(im).zip(reference.row(i)) {
+            tr_re += ar * b.re + ai * b.im;
+            tr_im += ai * b.re - ar * b.im;
         }
     }
-    tr.abs() / dim as f64
+    Complex::new(tr_re, tr_im).abs() / dim as f64
 }
 
 #[cfg(test)]
@@ -90,10 +92,10 @@ mod tests {
         for term in ham.terms() {
             acc.apply_pauli_rotation(&term.string, term.coefficient * t);
         }
-        let via_columns = fidelity_with_matrix(&acc, &exact);
+        let via_rows = fidelity_with_matrix(&acc, &exact);
         let via_dense = fidelity(&acc.to_matrix(), &exact);
-        assert!((via_columns - via_dense).abs() < 1e-12);
-        assert!(via_columns > 0.95 && via_columns < 1.0 + 1e-12);
+        assert!((via_rows - via_dense).abs() < 1e-12);
+        assert!(via_rows > 0.95 && via_rows < 1.0 + 1e-12);
     }
 
     #[test]

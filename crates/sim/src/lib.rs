@@ -9,10 +9,11 @@
 //! * [`StateVector`] — a dense `2^n` state vector with gate application and
 //!   an `O(2^n)` fast path for Pauli-rotation application
 //!   (`exp(iθP)|ψ⟩ = cos θ |ψ⟩ + i sin θ P|ψ⟩`).
-//! * [`UnitaryAccumulator`] — accumulates the full circuit unitary column by
-//!   column, either gate-by-gate or Pauli-rotation-by-rotation (the latter is
-//!   what the experiment drivers use: it avoids synthesizing millions of
-//!   gates when only the unitary matters).
+//! * [`UnitaryAccumulator`] — accumulates the full circuit unitary in flat
+//!   row-major planes, updating rows in place, either gate-by-gate or
+//!   Pauli-rotation-by-rotation (the latter is what the experiment drivers
+//!   use: it avoids synthesizing millions of gates when only the unitary
+//!   matters). Both types share one implementation of the rotation math.
 //! * [`exact`] — the exact reference evolution `exp(iHt)` via the dense
 //!   matrix exponential.
 //! * [`fidelity`] — the unitary fidelity metric.
@@ -38,6 +39,7 @@
 //! # }
 //! ```
 
+mod rotation;
 mod state;
 mod unitary;
 

@@ -4,6 +4,8 @@ use marqsim_circuit::{Circuit, Gate};
 use marqsim_linalg::{Complex, Matrix};
 use marqsim_pauli::PauliString;
 
+use crate::rotation::PauliRotation;
+
 /// A dense `2^n` quantum state vector.
 ///
 /// Amplitude `k` corresponds to the computational-basis state whose qubit `q`
@@ -198,42 +200,22 @@ impl StateVector {
             self.num_qubits,
             "Pauli string qubit count mismatch"
         );
-        let x_mask = pauli.x_mask() as usize;
-        let z_mask = pauli.z_mask() as usize;
-        let y_count = pauli
-            .support()
-            .filter(|(_, op)| op.x_bit() && op.z_bit())
-            .count();
-        // i^{y_count}
-        let y_phase = match y_count % 4 {
-            0 => Complex::ONE,
-            1 => Complex::I,
-            2 => -Complex::ONE,
-            _ => -Complex::I,
-        };
-        let cos = Complex::real(angle.cos());
-        let i_sin = Complex::new(0.0, angle.sin());
-
-        // sign(k) = (-1)^{popcount(k & z_mask)}; P|k⟩ = y_phase·sign(k)·|k ^ x_mask⟩.
-        let sign = |k: usize| {
-            if (k & z_mask).count_ones().is_multiple_of(2) {
-                Complex::ONE
-            } else {
-                -Complex::ONE
-            }
-        };
-
-        if x_mask == 0 {
+        let rotation = PauliRotation::new(pauli, angle);
+        if rotation.x_mask == 0 {
             // Diagonal Pauli string: each amplitude picks up a phase.
             for (k, amp) in self.amplitudes.iter_mut().enumerate() {
-                *amp = (cos + i_sin * y_phase * sign(k)) * *amp;
+                *amp = rotation.phase(k) * *amp;
             }
         } else {
-            // (Pψ)[k] = y_phase · sign(src) · ψ[src] with src = k ^ x_mask.
-            let old = self.amplitudes.clone();
-            for (k, slot) in self.amplitudes.iter_mut().enumerate() {
-                let src = k ^ x_mask;
-                *slot = cos * old[k] + i_sin * y_phase * sign(src) * old[src];
+            // Amplitudes pair up as (k, k ^ x_mask); update each pair once.
+            for k in 0..self.amplitudes.len() {
+                let p = k ^ rotation.x_mask;
+                if k < p {
+                    let (ck, cp) = rotation.pair(k);
+                    let (a, b) = (self.amplitudes[k], self.amplitudes[p]);
+                    self.amplitudes[k] = Complex::real(rotation.cos) * a + ck * b;
+                    self.amplitudes[p] = Complex::real(rotation.cos) * b + cp * a;
+                }
             }
         }
     }

@@ -4,9 +4,9 @@
 
 use std::sync::Arc;
 
-use marqsim::core::experiment::{run_sweep, SweepConfig};
-use marqsim::core::TransitionStrategy;
-use marqsim::engine::{Engine, EngineConfig, SweepRequest};
+use marqsim::core::experiment::{run_sweep, SweepConfig, SweepResult};
+use marqsim::core::{metrics, CompilerConfig, TransitionStrategy};
+use marqsim::engine::{CompileRequest, Engine, EngineConfig, SweepRequest};
 use marqsim::hamlib::suite::{table1_names, table1_suite, SuiteScale};
 use marqsim::pauli::Hamiltonian;
 
@@ -45,6 +45,65 @@ fn parallel_sweep_reproduces_the_serial_sweep_bit_for_bit() {
     let (serial_clusters, parallel_clusters) =
         (serial.cluster_summaries(), parallel.cluster_summaries());
     assert_eq!(serial_clusters, parallel_clusters);
+}
+
+fn assert_fidelities_bit_identical(engine: &SweepResult, serial: &SweepResult) {
+    assert_eq!(engine.points.len(), serial.points.len());
+    for (e, s) in engine.points.iter().zip(&serial.points) {
+        assert!(s.fidelity.is_some());
+        assert_eq!(e.stats, s.stats);
+        assert_eq!(e.fidelity.map(f64::to_bits), s.fidelity.map(f64::to_bits));
+    }
+}
+
+#[test]
+fn engine_fidelities_match_the_serial_sweep_bit_for_bit() {
+    let ham = benchmark_hamiltonian();
+    let config = SweepConfig {
+        time: 0.5,
+        epsilons: vec![0.1, 0.05],
+        repeats: 1,
+        base_seed: 9,
+        evaluate_fidelity: true,
+    };
+    let strategies = [
+        TransitionStrategy::QDrift,
+        TransitionStrategy::marqsim_gc(),
+        TransitionStrategy::marqsim_gc_rp(),
+    ];
+    let requests: Vec<SweepRequest> = strategies
+        .iter()
+        .map(|s| SweepRequest::new(s.label(), ham.clone(), s.clone(), config.clone()))
+        .collect();
+    for cache in [true, false] {
+        let engine = Engine::new(EngineConfig::default().with_threads(2).with_cache(cache));
+        let outcomes = engine.run_sweeps(requests.clone());
+        for (strategy, outcome) in strategies.iter().zip(&outcomes) {
+            let serial = run_sweep(&ham, strategy, &config).unwrap();
+            assert_fidelities_bit_identical(outcome.as_ref().unwrap(), &serial);
+        }
+    }
+}
+
+#[test]
+fn compile_fidelity_matches_the_standalone_evaluation() {
+    // A compile with fidelity on scores against the same matrix the
+    // standalone evaluation computes.
+    let ham = benchmark_hamiltonian();
+    let engine = Engine::new(EngineConfig::default().with_threads(2));
+    let request = CompileRequest::new(
+        "fidelity",
+        ham,
+        CompilerConfig::new(0.5, 0.05).with_strategy(TransitionStrategy::marqsim_gc_rp()),
+    )
+    .with_fidelity();
+    let compiled = engine.compile(request).unwrap();
+    let expected =
+        metrics::evaluate_fidelity(&compiled.result.hamiltonian, 0.5, &compiled.result.sequence);
+    assert_eq!(
+        compiled.fidelity.map(f64::to_bits),
+        Some(expected.to_bits())
+    );
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! Property-based tests of the telemetry layer: histogram bucket
 //! placement, merge semantics, and quantile bounds over random inputs,
 //! plus the span invariants the tracing docs promise — child spans nest
-//! arithmetically inside their parent's interval, and a job's queue-wait
-//! plus run time never exceeds its wall time.
+//! arithmetically inside their parent's interval, a job's queue-wait
+//! plus run time never exceeds its wall time, and a fidelity batch runs
+//! one exact-unitary task per distinct (Hamiltonian, t).
 //!
 //! The histogram properties run on isolated `Histogram` values, so they
 //! parallelize freely. The span properties share the process-global trace
@@ -350,4 +351,59 @@ fn queue_wait_plus_run_stays_within_the_job_wall_time() {
         "waits {wait_total}µs + runs {run_total}µs exceed {workers}× the job wall {}µs",
         num(job, "dur_us")
     );
+}
+
+#[test]
+fn a_fidelity_batch_computes_each_exact_unitary_once() {
+    let _guard = SINK_GUARD.lock().unwrap_or_else(PoisonError::into_inner);
+    let buffer = trace::install_memory_sink();
+
+    // 3 strategies × 2 ε at one (H, t), plus one sweep at another t: two
+    // distinct (H, t) pairs, so two matrix exponentials for eight points.
+    let ham = Hamiltonian::parse("0.9 ZZZZ + 0.7 XXII + 0.5 IYYI + 0.3 IIZZ").unwrap();
+    let config = SweepConfig {
+        time: 0.5,
+        epsilons: vec![0.1, 0.05],
+        repeats: 1,
+        base_seed: 9,
+        evaluate_fidelity: true,
+    };
+    let mut requests: Vec<SweepRequest> = [
+        TransitionStrategy::QDrift,
+        TransitionStrategy::marqsim_gc(),
+        TransitionStrategy::marqsim_gc_rp(),
+    ]
+    .into_iter()
+    .map(|s| SweepRequest::new(s.label(), ham.clone(), s, config.clone()))
+    .collect();
+    requests.push(SweepRequest::new(
+        "later",
+        ham,
+        TransitionStrategy::marqsim_gc(),
+        SweepConfig {
+            time: 0.25,
+            ..config
+        },
+    ));
+    let engine = Engine::new(EngineConfig::default().with_threads(2));
+    for outcome in engine.run_sweeps(requests) {
+        outcome.unwrap();
+    }
+    // Dropping the engine joins its workers, so every task span is in.
+    drop(engine);
+
+    let lines = buffer.lock().unwrap_or_else(PoisonError::into_inner);
+    let resolves: Vec<&String> = lines
+        .iter()
+        .filter(|l| field(l, "span") == Some("resolve_exact"))
+        .collect();
+    assert_eq!(resolves.len(), 1, "one exact phase per batch: {lines:?}");
+    assert_eq!(num(resolves[0], "exacts"), 2);
+    let resolve_id = num(resolves[0], "id").to_string();
+    let computations = lines
+        .iter()
+        .filter(|l| field(l, "span") == Some("pool_task"))
+        .filter(|l| field(l, "parent") == Some(resolve_id.as_str()))
+        .count();
+    assert_eq!(computations, 2, "one pool task per distinct (H, t)");
 }
