@@ -93,8 +93,8 @@ fn sweep_config() -> SweepConfig {
     }
 }
 
-/// Total sample count across the per-backend `flow_solve` latency
-/// histograms in a Prometheus-style exposition.
+/// Sample count of the `flow_solve` latency histogram in a
+/// Prometheus-style exposition.
 fn flow_solve_histogram_count(exposition: &str) -> u64 {
     exposition
         .lines()

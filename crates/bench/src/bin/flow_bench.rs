@@ -1,29 +1,23 @@
-//! `flow_bench` — per-backend min-cost-flow timing on the gate-cancellation
+//! `flow_bench` — min-cost-flow timing on the gate-cancellation
 //! transportation model.
 //!
 //! For each problem size (Pauli-string count) it builds the same random
 //! Hamiltonian `table2` uses, derives the CNOT-cost bipartite instance, and
-//! solves it once per registered backend, printing one grep-able line per
-//! `(backend, size)` pair:
+//! solves it cold with the network simplex, printing one grep-able line per
+//! size:
 //!
 //! ```text
-//! [flow] backend=ssp strings=500 states=500 solve_s=2.175 cost=3.4 bf_skipped=true
+//! [flow] backend=network_simplex strings=500 states=500 solve_s=0.790 cost=3.4
 //! ```
 //!
-//! plus a cross-backend agreement line per size (the optimal costs must
-//! match to 1e-9 — the equivalence guarantee the test suite enforces at
-//! small sizes, checked here at benchmark scale too). `bf_skipped` records
-//! the successive-shortest-path fast path: the CNOT cost model is
-//! non-negative, so its Bellman–Ford potential bootstrap is skipped.
-//!
 //! Run with `cargo run --release -p marqsim-bench --bin flow_bench
-//! [--quick]`. The default covers 100/500/1000 strings (≈30 s in release);
-//! `--quick` drops the 1000-string instance.
+//! [--quick]`. The default covers 100/500/1000 strings; `--quick` drops the
+//! 1000-string instance.
 //!
 //! `--warm` switches to the warm-start benchmark instead: per size, solve
-//! the base instance cold under the simplex backend, export its spanning
-//! basis, then re-solve perturbed-cost variants both cold and as warm
-//! re-pivots from that basis, printing one line per size:
+//! the base instance cold, export its spanning basis, then re-solve
+//! perturbed-cost variants both cold and as warm re-pivots from that basis,
+//! printing one line per size:
 //!
 //! ```text
 //! [flow] warm=network_simplex strings=500 samples=8 repivot_s=0.041 cold_s=0.513 speedup=12.5 equal=true
@@ -35,14 +29,12 @@
 
 use marqsim_bench::{header, timed};
 use marqsim_core::gate_cancel::cnot_cost_matrix;
-use marqsim_core::SolverKind;
-use marqsim_flow::bipartite;
+use marqsim_flow::{bipartite, NetworkSimplex};
 use marqsim_hamlib::random::{random_hamiltonian, RandomHamiltonianParams};
 use marqsim_obs::{error, info};
 
 /// Deterministic xorshift cost perturbation: `+1.0` on roughly half of the
-/// off-diagonal entries, mirroring the §5.5 perturbation shape. Costs stay
-/// non-negative, so the backend-equivalence contract keeps holding.
+/// off-diagonal entries, mirroring the §5.5 perturbation shape.
 fn perturbed(costs: &[Vec<f64>], seed: u64) -> Vec<Vec<f64>> {
     let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
     let mut next = move || {
@@ -69,31 +61,31 @@ fn perturbed(costs: &[Vec<f64>], seed: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
+/// The `table2` random Hamiltonian with `strings` terms, split, with its
+/// stationary distribution and CNOT cost matrix.
+fn instance(strings: usize) -> (usize, Vec<f64>, Vec<Vec<f64>>) {
+    let ham = random_hamiltonian(&RandomHamiltonianParams {
+        qubits: 20,
+        terms: strings,
+        identity_bias: 0.6,
+        seed: 1234 + strings as u64,
+    })
+    .split_if_dominant();
+    (
+        ham.num_terms(),
+        ham.stationary_distribution(),
+        cnot_cost_matrix(&ham),
+    )
+}
+
 fn run_warm(sizes: &[usize]) {
     const SAMPLES: u64 = 8;
     header("flow_bench: warm-start re-pivots vs cold solves (network simplex)");
     for &strings in sizes {
-        let ham = random_hamiltonian(&RandomHamiltonianParams {
-            qubits: 20,
-            terms: strings,
-            identity_bias: 0.6,
-            seed: 1234 + strings as u64,
-        })
-        .split_if_dominant();
-        let pi = ham.stationary_distribution();
-        let costs = cnot_cost_matrix(&ham);
-        let kind = SolverKind::NetworkSimplex;
-
-        let seed_solve = bipartite::solve_with_basis(kind, &pi, &costs, |i, j| i != j);
+        let (_, pi, costs) = instance(strings);
+        let seed_solve = bipartite::solve_with_basis(&pi, &costs, |i, j| i != j);
         let basis = match seed_solve {
-            Ok((_, Some(basis))) => basis,
-            Ok((_, None)) => {
-                error!(
-                    "flow",
-                    "simplex backend exported no basis at {strings} strings"
-                );
-                std::process::exit(1);
-            }
+            Ok((_, basis)) => basis,
             Err(cause) => {
                 error!("flow", "seed solve failed at {strings} strings: {cause}");
                 std::process::exit(1);
@@ -105,16 +97,14 @@ fn run_warm(sizes: &[usize]) {
         let mut equal = true;
         for sample in 0..SAMPLES {
             let sample_costs = perturbed(&costs, strings as u64 * 1000 + sample);
-            let (cold, seconds) =
-                timed(|| bipartite::solve_with(kind, &pi, &sample_costs, |i, j| i != j));
+            let (cold, seconds) = timed(|| bipartite::solve(&pi, &sample_costs, |i, j| i != j));
             cold_s += seconds;
             let cold = cold.unwrap_or_else(|cause| {
                 error!("flow", "cold re-solve failed at {strings} strings: {cause}");
                 std::process::exit(1);
             });
-            let (warm, seconds) = timed(|| {
-                bipartite::solve_warm_with(kind, &pi, &sample_costs, |i, j| i != j, &basis)
-            });
+            let (warm, seconds) =
+                timed(|| bipartite::solve_warm(&pi, &sample_costs, |i, j| i != j, &basis));
             repivot_s += seconds;
             let (warm, _) = warm.unwrap_or_else(|cause| {
                 error!("flow", "warm re-solve failed at {strings} strings: {cause}");
@@ -132,7 +122,7 @@ fn run_warm(sizes: &[usize]) {
         info!(
             "flow",
             "warm={} strings={strings} samples={SAMPLES} repivot_s={repivot_s:.3} cold_s={cold_s:.3} speedup={:.1} equal={equal}",
-            kind.as_str(),
+            NetworkSimplex.as_str(),
             cold_s / repivot_s.max(1e-12),
         );
         if !equal {
@@ -158,63 +148,19 @@ fn main() {
         return;
     }
 
-    header("flow_bench: min-cost-flow backend timing (gate-cancellation model)");
-    println!(
-        "(backends: {}; one [flow] line per backend and size)",
-        SolverKind::ALL.map(SolverKind::as_str).join(", ")
-    );
-
+    header("flow_bench: min-cost-flow timing (gate-cancellation model)");
     for &strings in sizes {
-        let ham = random_hamiltonian(&RandomHamiltonianParams {
-            qubits: 20,
-            terms: strings,
-            identity_bias: 0.6,
-            seed: 1234 + strings as u64,
-        })
-        .split_if_dominant();
-        let pi = ham.stationary_distribution();
-        let costs = cnot_cost_matrix(&ham);
-
-        let mut optima: Vec<(SolverKind, f64)> = Vec::new();
-        for kind in SolverKind::ALL {
-            let (solution, seconds) =
-                timed(|| bipartite::solve_with(kind, &pi, &costs, |i, j| i != j));
-            match solution {
-                Ok(flow) => {
-                    info!(
-                        "flow",
-                        "backend={} strings={strings} states={} solve_s={seconds:.3} cost={:.6} bf_skipped={}",
-                        kind.as_str(),
-                        ham.num_terms(),
-                        flow.cost,
-                        flow.bellman_ford_skipped,
-                    );
-                    optima.push((kind, flow.cost));
-                }
-                Err(cause) => {
-                    error!(
-                        "flow",
-                        "backend {kind} failed at {strings} strings: {cause}"
-                    );
-                    std::process::exit(1);
-                }
-            }
-        }
-        let (reference_kind, reference) = optima[0];
-        for &(kind, cost) in &optima[1..] {
-            let delta = (cost - reference).abs();
-            let agree = delta < 1e-9;
-            info!(
+        let (states, pi, costs) = instance(strings);
+        let (solution, seconds) = timed(|| bipartite::solve(&pi, &costs, |i, j| i != j));
+        match solution {
+            Ok(flow) => info!(
                 "flow",
-                "agreement strings={strings} {}={reference:.9} {}={cost:.9} delta={delta:.3e} equal={agree}",
-                reference_kind.as_str(),
-                kind.as_str(),
-            );
-            if !agree {
-                error!(
-                    "flow",
-                    "backends disagree on the optimal cost at {strings} strings"
-                );
+                "backend={} strings={strings} states={states} solve_s={seconds:.3} cost={:.6}",
+                NetworkSimplex.as_str(),
+                flow.cost,
+            ),
+            Err(cause) => {
+                error!("flow", "solve failed at {strings} strings: {cause}");
                 std::process::exit(1);
             }
         }

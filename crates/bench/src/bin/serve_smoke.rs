@@ -43,8 +43,8 @@ fn fail(message: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
-/// Total sample count across the per-backend `flow_solve` latency
-/// histograms in a Prometheus-style exposition.
+/// Sample count of the `flow_solve` latency histogram in a
+/// Prometheus-style exposition.
 fn flow_solve_histogram_count(exposition: &str) -> u64 {
     exposition
         .lines()
@@ -140,7 +140,7 @@ fn main() {
     println!("[serve-smoke] TCP sweep is bit-identical to the in-process engine");
 
     // Telemetry: the cold job's min-cost-flow solves must be visible in the
-    // server's per-backend latency histogram through the metrics verb.
+    // server's flow-solve latency histogram through the metrics verb.
     let cold_metrics = client
         .metrics()
         .unwrap_or_else(|e| fail(format!("metrics: {e}")));

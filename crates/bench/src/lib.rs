@@ -71,11 +71,7 @@ pub fn serve_token() -> Option<String> {
 pub fn engine() -> Engine {
     match Engine::from_env() {
         Ok(engine) => {
-            println!(
-                "[marqsim-engine: {} worker threads, flow solver {}]",
-                engine.threads(),
-                engine.flow_solver()
-            );
+            println!("[marqsim-engine: {} worker threads]", engine.threads());
             engine
         }
         Err(error) => {
@@ -95,13 +91,11 @@ pub fn engine() -> Engine {
 pub fn report_cache_stats(stats: CacheStats) {
     marqsim_obs::info!(
         "cache",
-        "hits={} misses={} component_hits={} flow_solves={} flow_solves_ssp={} flow_solves_simplex={} disk_hits={} disk_writes={} disk_errors={} evictions={} graphs={} components={} warm_starts={}",
+        "hits={} misses={} component_hits={} flow_solves={} disk_hits={} disk_writes={} disk_errors={} evictions={} graphs={} components={} warm_starts={}",
         stats.hits,
         stats.misses,
         stats.component_hits,
         stats.flow_solves,
-        stats.flow_solves_ssp,
-        stats.flow_solves_simplex,
         stats.disk_hits,
         stats.disk_writes,
         stats.disk_errors,

@@ -12,8 +12,8 @@
 //! term carrying more than half of the total weight is split in two first
 //! (Appendix A.3), mirroring `Hamiltonian::split_dominant_terms`.
 
-use marqsim_flow::bipartite::{solve_warm_with, solve_with_basis, BipartiteFlow};
-use marqsim_flow::{SolverKind, SpanningBasis};
+use marqsim_flow::bipartite::{solve_warm, solve_with_basis, BipartiteFlow};
+use marqsim_flow::SpanningBasis;
 use marqsim_markov::TransitionMatrix;
 use marqsim_pauli::algebra::cnot_count_between;
 use marqsim_pauli::Hamiltonian;
@@ -37,8 +37,7 @@ pub fn cnot_cost_matrix(ham: &Hamiltonian) -> Vec<Vec<f64>> {
 }
 
 /// Solves the min-cost-flow model for a Hamiltonian with an arbitrary cost
-/// matrix (used directly by the random-perturbation variant) under the
-/// default solver backend.
+/// matrix (used directly by the random-perturbation variant).
 ///
 /// # Errors
 ///
@@ -49,28 +48,15 @@ pub fn matrix_from_costs(
     ham: &Hamiltonian,
     costs: &[Vec<f64>],
 ) -> Result<(TransitionMatrix, BipartiteFlow), CompileError> {
-    matrix_from_costs_with(ham, costs, SolverKind::default())
+    matrix_from_costs_with_basis(ham, costs).map(|(matrix, flow, _)| (matrix, flow))
 }
 
-/// Like [`matrix_from_costs`] with an explicit min-cost-flow backend.
-///
-/// # Errors
-///
-/// Same contract as [`matrix_from_costs`].
-pub fn matrix_from_costs_with(
-    ham: &Hamiltonian,
-    costs: &[Vec<f64>],
-    solver: SolverKind,
-) -> Result<(TransitionMatrix, BipartiteFlow), CompileError> {
-    matrix_from_costs_with_basis(ham, costs, solver).map(|(matrix, flow, _)| (matrix, flow))
-}
-
-/// Like [`matrix_from_costs_with`], additionally returning the solver's
-/// optimal [`SpanningBasis`] (`None` for backends without warm support).
-/// The basis can warm-start [`matrix_from_costs_warm_with`] for the same
-/// Hamiltonian under a different cost matrix — the flow network's
-/// topology depends only on `π` and the excluded diagonal, both fixed by
-/// the Hamiltonian, which is exactly the `P_rp` perturbed-cost shape.
+/// Like [`matrix_from_costs`], additionally returning the solver's optimal
+/// [`SpanningBasis`]. The basis can warm-start [`matrix_from_costs_warm`]
+/// for the same Hamiltonian under a different cost matrix — the flow
+/// network's topology depends only on `π` and the excluded diagonal, both
+/// fixed by the Hamiltonian, which is exactly the `P_rp` perturbed-cost
+/// shape.
 ///
 /// # Errors
 ///
@@ -78,33 +64,31 @@ pub fn matrix_from_costs_with(
 pub fn matrix_from_costs_with_basis(
     ham: &Hamiltonian,
     costs: &[Vec<f64>],
-    solver: SolverKind,
-) -> Result<(TransitionMatrix, BipartiteFlow, Option<SpanningBasis>), CompileError> {
+) -> Result<(TransitionMatrix, BipartiteFlow, SpanningBasis), CompileError> {
     let pi = ham.stationary_distribution();
-    let (flow, basis) = solve_with_basis(solver, &pi, costs, |i, j| i != j)?;
+    let (flow, basis) = solve_with_basis(&pi, costs, |i, j| i != j)?;
     let matrix = matrix_from_flow(ham, &pi, &flow)?;
     Ok((matrix, flow, basis))
 }
 
 /// Warm-start variant of [`matrix_from_costs_with_basis`]: re-prices and
 /// re-pivots from a basis saved by an earlier solve for the *same*
-/// Hamiltonian. A mismatched basis or a backend without warm support
-/// degrades to a cold solve ([`BipartiteFlow::warm_start`] reports what
-/// happened); errors are classified identically either way.
+/// Hamiltonian. A mismatched basis degrades to a cold solve
+/// ([`BipartiteFlow::warm_start`] reports what happened); errors are
+/// classified identically either way.
 ///
 /// # Errors
 ///
 /// Same contract as [`matrix_from_costs`].
-pub fn matrix_from_costs_warm_with(
+pub fn matrix_from_costs_warm(
     ham: &Hamiltonian,
     costs: &[Vec<f64>],
-    solver: SolverKind,
     basis: &SpanningBasis,
-) -> Result<(TransitionMatrix, BipartiteFlow, Option<SpanningBasis>), CompileError> {
+) -> Result<(TransitionMatrix, BipartiteFlow), CompileError> {
     let pi = ham.stationary_distribution();
-    let (flow, basis) = solve_warm_with(solver, &pi, costs, |i, j| i != j, basis)?;
+    let (flow, _) = solve_warm(&pi, costs, |i, j| i != j, basis)?;
     let matrix = matrix_from_flow(ham, &pi, &flow)?;
-    Ok((matrix, flow, basis))
+    Ok((matrix, flow))
 }
 
 /// Converts an optimal bipartite flow into the transition matrix
@@ -138,8 +122,7 @@ fn matrix_from_flow(
     Ok(TransitionMatrix::new(rows)?)
 }
 
-/// Builds `P_gc` for a Hamiltonian (Algorithm 2) under the default solver
-/// backend.
+/// Builds `P_gc` for a Hamiltonian (Algorithm 2).
 ///
 /// The Hamiltonian must not have a term with more than half the total weight;
 /// call [`Hamiltonian::split_dominant_terms`] first if it does (the
@@ -149,39 +132,23 @@ fn matrix_from_flow(
 ///
 /// See [`matrix_from_costs`].
 pub fn gate_cancellation_matrix(ham: &Hamiltonian) -> Result<TransitionMatrix, CompileError> {
-    gate_cancellation_matrix_with(ham, SolverKind::default())
+    gate_cancellation_matrix_with_basis(ham).map(|(m, _)| m)
 }
 
-/// Like [`gate_cancellation_matrix`] with an explicit min-cost-flow backend
-/// — the entry point the engine's transition cache uses to honor its
-/// configured / per-job solver selection.
-///
-/// # Errors
-///
-/// See [`matrix_from_costs`].
-pub fn gate_cancellation_matrix_with(
-    ham: &Hamiltonian,
-    solver: SolverKind,
-) -> Result<TransitionMatrix, CompileError> {
-    let costs = cnot_cost_matrix(ham);
-    matrix_from_costs_with(ham, &costs, solver).map(|(m, _)| m)
-}
-
-/// Like [`gate_cancellation_matrix_with`], additionally returning the
-/// backend's optimal [`SpanningBasis`] (`None` for `ssp`). The engine's
-/// transition cache persists this basis next to `P_gc` so the `P_rp`
-/// perturbation samples — same network topology, perturbed costs — can be
-/// solved as warm re-pivots instead of cold solves.
+/// Like [`gate_cancellation_matrix`], additionally returning the solve's
+/// optimal [`SpanningBasis`]. The engine's transition cache persists this
+/// basis next to `P_gc` so the `P_rp` perturbation samples — same network
+/// topology, perturbed costs — can be solved as warm re-pivots instead of
+/// cold solves.
 ///
 /// # Errors
 ///
 /// See [`matrix_from_costs`].
 pub fn gate_cancellation_matrix_with_basis(
     ham: &Hamiltonian,
-    solver: SolverKind,
-) -> Result<(TransitionMatrix, Option<SpanningBasis>), CompileError> {
+) -> Result<(TransitionMatrix, SpanningBasis), CompileError> {
     let costs = cnot_cost_matrix(ham);
-    matrix_from_costs_with_basis(ham, &costs, solver).map(|(m, _, basis)| (m, basis))
+    matrix_from_costs_with_basis(ham, &costs).map(|(m, _, basis)| (m, basis))
 }
 
 /// Builds `P_gc` and also returns the optimal objective value — by
@@ -293,27 +260,6 @@ mod tests {
         let split = ham.split_dominant_terms();
         let p = gate_cancellation_matrix(&split).unwrap();
         assert!(p.preserves_distribution(&split.stationary_distribution(), 1e-9));
-    }
-
-    #[test]
-    fn both_backends_build_equivalent_gc_matrices() {
-        // The cross-backend guarantee at the P_gc level: equal optimal cost
-        // and a valid (π-preserving) matrix from either backend.
-        let ham = example();
-        let pi = ham.stationary_distribution();
-        let costs = cnot_cost_matrix(&ham);
-        let (ssp, ssp_flow) =
-            matrix_from_costs_with(&ham, &costs, SolverKind::SuccessiveShortestPath).unwrap();
-        let (simplex, simplex_flow) =
-            matrix_from_costs_with(&ham, &costs, SolverKind::NetworkSimplex).unwrap();
-        assert!(
-            (ssp_flow.cost - simplex_flow.cost).abs() < 1e-9,
-            "ssp {} vs simplex {}",
-            ssp_flow.cost,
-            simplex_flow.cost
-        );
-        assert!(ssp.preserves_distribution(&pi, 1e-9));
-        assert!(simplex.preserves_distribution(&pi, 1e-9));
     }
 
     #[test]

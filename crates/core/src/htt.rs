@@ -3,7 +3,7 @@
 use marqsim_markov::TransitionMatrix;
 use marqsim_pauli::Hamiltonian;
 
-use crate::{CompileError, SolverKind, TransitionStrategy};
+use crate::{CompileError, TransitionStrategy};
 
 /// The Hamiltonian Term Transition Graph: the MarQSim intermediate
 /// representation pairing a Hamiltonian with a transition matrix over its
@@ -46,28 +46,9 @@ impl HttGraph {
     ///
     /// Propagates any failure of the transition-matrix construction.
     pub fn build(ham: &Hamiltonian, strategy: &TransitionStrategy) -> Result<Self, CompileError> {
-        HttGraph::build_with_solver(ham, strategy, SolverKind::default())
-    }
-
-    /// Like [`build`](Self::build) with an explicit min-cost-flow backend
-    /// for the strategy's flow solves.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any failure of the transition-matrix construction.
-    pub fn build_with_solver(
-        ham: &Hamiltonian,
-        strategy: &TransitionStrategy,
-        solver: SolverKind,
-    ) -> Result<Self, CompileError> {
         let ham = ham.split_if_dominant();
-        // The warm builder is the canonical construction: `P_rp` samples
-        // re-pivot from the `P_gc` basis under basis-exporting backends and
-        // degrade to the identical cold solves under `ssp`, so cached and
-        // uncached builds agree bit-for-bit on every backend.
-        let (transition, _warm_starts) = crate::transition::build_transition_matrix_solved_by_warm(
-            &ham, strategy, None, solver,
-        )?;
+        let (transition, _warm_starts) =
+            crate::transition::build_transition_matrix_with_components(&ham, strategy, None)?;
         let stationary = ham.stationary_distribution();
         Ok(HttGraph {
             hamiltonian: ham,

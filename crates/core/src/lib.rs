@@ -65,10 +65,10 @@ pub use error::CompileError;
 pub use htt::HttGraph;
 pub use strategy::TransitionStrategy;
 
-/// Re-export of the pluggable min-cost-flow solver API: the engine, serve,
-/// and bench layers select a backend through [`SolverKind`] without
-/// depending on `marqsim-flow` directly.
-pub use marqsim_flow::{MinCostFlowSolver, SolverKind, SpanningBasis};
+/// Re-export of the min-cost-flow types the engine uses without depending
+/// on `marqsim-flow` directly: the backend's name type and the warm-start
+/// basis its transition cache persists.
+pub use marqsim_flow::{NetworkSimplex, SpanningBasis};
 
 /// Re-export of the spectra analysis used for §5.4 (Fig. 11 / Fig. 15).
 pub use marqsim_markov::spectra as markov_spectra;

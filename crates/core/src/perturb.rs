@@ -19,11 +19,8 @@ use marqsim_pauli::Hamiltonian;
 
 use marqsim_flow::SpanningBasis;
 
-use crate::gate_cancel::{
-    cnot_cost_matrix, matrix_from_costs_warm_with, matrix_from_costs_with,
-    matrix_from_costs_with_basis,
-};
-use crate::{CompileError, SolverKind};
+use crate::gate_cancel::{cnot_cost_matrix, matrix_from_costs_warm, matrix_from_costs_with_basis};
+use crate::CompileError;
 
 /// Configuration of the random-perturbation matrix construction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,15 +60,16 @@ fn perturb_costs(costs: &mut [Vec<f64>], rng: &mut StdRng, config: &Perturbation
 }
 
 /// Builds `P_rp`: the average of transition matrices obtained from randomly
-/// perturbed min-cost-flow problems.
+/// perturbed min-cost-flow problems. The first sample solves cold and the
+/// rest re-pivot from its basis (see [`random_perturbation_matrix_warm`]).
 ///
 /// One RNG stream threads through all samples (sample `i`'s perturbation
 /// depends on the draws of samples `0..i`), so this construction is
 /// inherently serial. The parallel path — used by the engine's
 /// `PerturbAverageWorkload` — seeds each sample independently via
-/// [`perturbation_sample_seed`] / [`perturbed_matrix_sample`] instead; the
-/// two constructions are both deterministic but produce *different*
-/// (equally valid) matrices.
+/// [`perturbation_sample_seed`] / [`perturbed_matrix_sample_with_basis`]
+/// instead; the two constructions are both deterministic but produce
+/// *different* (equally valid) matrices.
 ///
 /// # Errors
 ///
@@ -81,58 +79,31 @@ pub fn random_perturbation_matrix(
     ham: &Hamiltonian,
     config: &PerturbationConfig,
 ) -> Result<TransitionMatrix, CompileError> {
-    random_perturbation_matrix_with(ham, config, SolverKind::default())
+    random_perturbation_matrix_warm(ham, config, None).map(|(matrix, _)| matrix)
 }
 
-/// Like [`random_perturbation_matrix`] with an explicit min-cost-flow
-/// backend for the perturbed solves.
-///
-/// # Errors
-///
-/// Same contract as [`random_perturbation_matrix`].
-pub fn random_perturbation_matrix_with(
-    ham: &Hamiltonian,
-    config: &PerturbationConfig,
-    solver: SolverKind,
-) -> Result<TransitionMatrix, CompileError> {
-    assert!(config.samples > 0, "need at least one perturbation sample");
-    let base_costs = cnot_cost_matrix(ham);
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut matrices = Vec::with_capacity(config.samples);
-    for _ in 0..config.samples {
-        let mut costs = base_costs.clone();
-        perturb_costs(&mut costs, &mut rng, config);
-        let (matrix, _) = matrix_from_costs_with(ham, &costs, solver)?;
-        matrices.push(matrix);
-    }
-    let weights = vec![1.0 / config.samples as f64; config.samples];
-    combine(&matrices, &weights).map_err(CompileError::Combine)
-}
-
-/// Like [`random_perturbation_matrix_with`], solving the perturbed
-/// problems as warm re-pivots from a [`SpanningBasis`]. The perturbation
-/// only changes edge costs — the network topology is fixed by the
-/// Hamiltonian — so every sample can reuse one basis:
+/// Like [`random_perturbation_matrix`], solving the perturbed problems as
+/// warm re-pivots from a [`SpanningBasis`]. The perturbation only changes
+/// edge costs — the network topology is fixed by the Hamiltonian — so
+/// every sample can reuse one basis:
 ///
 /// * with `gc_basis = Some(..)` (the engine path: the basis saved by the
 ///   `P_gc` solve) every sample warm-starts from it;
 /// * with `gc_basis = None` the first sample solves cold and exports its
 ///   basis, and the remaining `samples - 1` warm-start from that.
 ///
-/// Also returns how many solves actually re-pivoted a basis (always `0`
-/// for backends without warm support, which silently degrade to the cold
-/// construction). Determinism is preserved: the result is a pure
-/// function of `(ham, config, solver, gc_basis)`, and `gc_basis` itself
-/// is a pure function of `(ham, solver)` when derived from the `P_gc`
-/// solve — so cached and cache-disabled runs build identical matrices.
+/// Also returns how many solves actually re-pivoted a basis. Determinism
+/// is preserved: the result is a pure function of `(ham, config,
+/// gc_basis)`, and `gc_basis` itself is a pure function of `ham` when
+/// derived from the `P_gc` solve — so cached and cache-disabled runs build
+/// identical matrices.
 ///
 /// # Errors
 ///
 /// Same contract as [`random_perturbation_matrix`].
-pub fn random_perturbation_matrix_warm_with(
+pub fn random_perturbation_matrix_warm(
     ham: &Hamiltonian,
     config: &PerturbationConfig,
-    solver: SolverKind,
     gc_basis: Option<&SpanningBasis>,
 ) -> Result<(TransitionMatrix, u64), CompileError> {
     assert!(config.samples > 0, "need at least one perturbation sample");
@@ -146,15 +117,15 @@ pub fn random_perturbation_matrix_warm_with(
         perturb_costs(&mut costs, &mut rng, config);
         let matrix = match gc_basis.or(first_basis.as_ref()) {
             Some(basis) => {
-                let (matrix, flow, _) = matrix_from_costs_warm_with(ham, &costs, solver, basis)?;
+                let (matrix, flow) = matrix_from_costs_warm(ham, &costs, basis)?;
                 if flow.warm_start {
                     warm_starts += 1;
                 }
                 matrix
             }
             None => {
-                let (matrix, _, exported) = matrix_from_costs_with_basis(ham, &costs, solver)?;
-                first_basis = exported;
+                let (matrix, _, exported) = matrix_from_costs_with_basis(ham, &costs)?;
+                first_basis = Some(exported);
                 matrix
             }
         };
@@ -175,46 +146,22 @@ pub fn perturbation_sample_seed(config: &PerturbationConfig, index: usize) -> u6
         .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(index as u64 + 1))
 }
 
-/// Solves one independently seeded perturbed min-cost-flow problem — the
-/// unit of work of the parallel `P_rp` average. The output depends only on
-/// `(ham, config, index)`, never on scheduling order; averaging samples
-/// `0..config.samples` with equal weights yields the parallel `P_rp`.
-///
-/// # Errors
-///
-/// Propagates the flow-solve failure.
-pub fn perturbed_matrix_sample(
-    ham: &Hamiltonian,
-    config: &PerturbationConfig,
-    index: usize,
-) -> Result<TransitionMatrix, CompileError> {
-    perturbed_matrix_sample_with(ham, config, index, SolverKind::default())
-}
-
-/// Like [`perturbed_matrix_sample`] with an explicit min-cost-flow backend.
-///
-/// # Errors
-///
-/// Propagates the flow-solve failure.
-pub fn perturbed_matrix_sample_with(
-    ham: &Hamiltonian,
-    config: &PerturbationConfig,
-    index: usize,
-    solver: SolverKind,
-) -> Result<TransitionMatrix, CompileError> {
+/// The perturbed cost matrix of the `index`-th parallel sample.
+fn sample_costs(ham: &Hamiltonian, config: &PerturbationConfig, index: usize) -> Vec<Vec<f64>> {
     let mut costs = cnot_cost_matrix(ham);
     let mut rng = StdRng::seed_from_u64(perturbation_sample_seed(config, index));
     perturb_costs(&mut costs, &mut rng, config);
-    let (matrix, _) = matrix_from_costs_with(ham, &costs, solver)?;
-    Ok(matrix)
+    costs
 }
 
-/// Like [`perturbed_matrix_sample_with`], additionally exporting the
-/// solve's optimal [`SpanningBasis`] when the backend supports it (`None`
-/// otherwise). The matrix is bit-identical to the plain cold sample; the
-/// basis lets the caller warm-start the *other* samples of the same
-/// average — the engine's parallel `P_rp` workload solves sample `0`
-/// through this and re-pivots samples `1..` from the returned basis.
+/// Solves one independently seeded perturbed min-cost-flow problem cold —
+/// a unit of work of the parallel `P_rp` average — and exports the
+/// solve's optimal [`SpanningBasis`]. The output depends only on
+/// `(ham, config, index)`, never on scheduling order. The basis lets the
+/// caller warm-start the *other* samples of the same average: the
+/// engine's parallel `P_rp` workload solves sample `0` through this and
+/// re-pivots samples `1..` from the returned basis
+/// ([`perturbed_matrix_sample_warm`]).
 ///
 /// # Errors
 ///
@@ -223,42 +170,34 @@ pub fn perturbed_matrix_sample_with_basis(
     ham: &Hamiltonian,
     config: &PerturbationConfig,
     index: usize,
-    solver: SolverKind,
-) -> Result<(TransitionMatrix, Option<SpanningBasis>), CompileError> {
-    let mut costs = cnot_cost_matrix(ham);
-    let mut rng = StdRng::seed_from_u64(perturbation_sample_seed(config, index));
-    perturb_costs(&mut costs, &mut rng, config);
-    let (matrix, _, basis) = matrix_from_costs_with_basis(ham, &costs, solver)?;
+) -> Result<(TransitionMatrix, SpanningBasis), CompileError> {
+    let (matrix, _, basis) = matrix_from_costs_with_basis(ham, &sample_costs(ham, config, index))?;
     Ok((matrix, basis))
 }
 
-/// Like [`perturbed_matrix_sample_with`], warm-starting the flow solve
-/// from a [`SpanningBasis`] saved by an earlier solve for the same
-/// Hamiltonian (the perturbation only changes costs, never the network
-/// topology, so any basis for `ham` matches). Returns the sample matrix
-/// and whether the basis was actually re-pivoted (`false` on the cold
-/// fallback — mismatched basis or a backend without warm support).
+/// Like [`perturbed_matrix_sample_with_basis`], warm-starting the flow
+/// solve from a [`SpanningBasis`] saved by an earlier solve for the same
+/// Hamiltonian (the perturbation only changes costs, never the topology, so
+/// any basis for `ham` matches). Returns the sample matrix and whether the
+/// basis was actually re-pivoted (`false` on the cold fallback for a
+/// mismatched basis).
 ///
-/// The matrix depends only on `(ham, config, index, solver, basis)` —
-/// warm sampling stays exactly as deterministic as cold sampling as long
-/// as the caller derives `basis` deterministically (the engine derives
-/// it from the `P_gc` solve, itself a pure function of `(ham, solver)`).
+/// The matrix depends only on `(ham, config, index, basis)` — warm
+/// sampling stays exactly as deterministic as cold sampling as long as the
+/// caller derives `basis` deterministically (the engine takes it from the
+/// cold solve of sample `0`).
 ///
 /// # Errors
 ///
 /// Propagates the flow-solve failure — warm and cold solves classify
 /// errors identically.
-pub fn perturbed_matrix_sample_warm_with(
+pub fn perturbed_matrix_sample_warm(
     ham: &Hamiltonian,
     config: &PerturbationConfig,
     index: usize,
-    solver: SolverKind,
     basis: &SpanningBasis,
 ) -> Result<(TransitionMatrix, bool), CompileError> {
-    let mut costs = cnot_cost_matrix(ham);
-    let mut rng = StdRng::seed_from_u64(perturbation_sample_seed(config, index));
-    perturb_costs(&mut costs, &mut rng, config);
-    let (matrix, flow, _) = matrix_from_costs_warm_with(ham, &costs, solver, basis)?;
+    let (matrix, flow) = matrix_from_costs_warm(ham, &sample_costs(ham, config, index), basis)?;
     Ok((matrix, flow.warm_start))
 }
 
@@ -331,12 +270,13 @@ mod tests {
             perturbation_sample_seed(&config, 0),
             perturbation_sample_seed(&config, 1)
         );
-        let a = perturbed_matrix_sample(&ham, &config, 2).unwrap();
-        let b = perturbed_matrix_sample(&ham, &config, 2).unwrap();
-        assert_eq!(a, b);
-        let matrices: Vec<_> = (0..config.samples)
-            .map(|i| perturbed_matrix_sample(&ham, &config, i).unwrap())
-            .collect();
+        let sample = |i| {
+            perturbed_matrix_sample_with_basis(&ham, &config, i)
+                .unwrap()
+                .0
+        };
+        assert_eq!(sample(2), sample(2));
+        let matrices: Vec<_> = (0..config.samples).map(sample).collect();
         let weights = vec![1.0 / config.samples as f64; config.samples];
         let averaged = combine(&matrices, &weights).unwrap();
         assert!(averaged.preserves_distribution(&ham.stationary_distribution(), 1e-8));

@@ -5,10 +5,10 @@ use marqsim_markov::combine::combine_refs;
 use marqsim_markov::TransitionMatrix;
 use marqsim_pauli::Hamiltonian;
 
-use crate::gate_cancel::{gate_cancellation_matrix_with, gate_cancellation_matrix_with_basis};
-use crate::perturb::{random_perturbation_matrix_warm_with, random_perturbation_matrix_with};
+use crate::gate_cancel::gate_cancellation_matrix_with_basis;
+use crate::perturb::random_perturbation_matrix_warm;
 use crate::qdrift::qdrift_matrix;
-use crate::{CompileError, SolverKind, TransitionStrategy};
+use crate::{CompileError, TransitionStrategy};
 
 /// Builds the transition matrix prescribed by `strategy` for `ham`.
 ///
@@ -26,7 +26,7 @@ pub fn build_transition_matrix(
     ham: &Hamiltonian,
     strategy: &TransitionStrategy,
 ) -> Result<TransitionMatrix, CompileError> {
-    build_transition_matrix_with_components(ham, strategy, None)
+    build_transition_matrix_with_components(ham, strategy, None).map(|(matrix, _)| matrix)
 }
 
 /// Returns `true` if `strategy` needs the gate-cancellation component `P_gc`
@@ -42,106 +42,17 @@ pub fn strategy_uses_gate_cancellation(strategy: &TransitionStrategy) -> bool {
 /// same Hamiltonian under several strategies — or at many sweep points — can
 /// solve it once; the `marqsim-engine` transition cache is that caller.
 ///
-/// `cached_gc` must have been produced by
-/// [`gate_cancellation_matrix`](crate::gate_cancel::gate_cancellation_matrix)
-/// for this exact `ham`; the Theorem 4.1 validation of the final matrix is
-/// performed either way.
-///
-/// # Errors
-///
-/// Same contract as [`build_transition_matrix`].
-pub fn build_transition_matrix_with_components(
-    ham: &Hamiltonian,
-    strategy: &TransitionStrategy,
-    cached_gc: Option<&TransitionMatrix>,
-) -> Result<TransitionMatrix, CompileError> {
-    build_transition_matrix_solved_by(ham, strategy, cached_gc, SolverKind::default())
-}
-
-/// Like [`build_transition_matrix_with_components`] with an explicit
-/// min-cost-flow backend for every flow solve the strategy performs (the
-/// `P_gc` model when no cached component is supplied, and each perturbed
-/// `P_rp` sample).
-///
-/// # Errors
-///
-/// Same contract as [`build_transition_matrix`].
-pub fn build_transition_matrix_solved_by(
-    ham: &Hamiltonian,
-    strategy: &TransitionStrategy,
-    cached_gc: Option<&TransitionMatrix>,
-    solver: SolverKind,
-) -> Result<TransitionMatrix, CompileError> {
-    if !strategy.weights_are_valid() {
-        return Err(CompileError::InvalidConfig {
-            reason: format!("invalid combination weights in {strategy:?}"),
-        });
-    }
-    // A supplied component is borrowed straight into the combination — no
-    // clone of the n × n matrix — so component reuse stays cheap even for
-    // thousand-term Hamiltonians.
-    let mut solved_gc = None;
-    let p_gc: Option<&TransitionMatrix> = if strategy_uses_gate_cancellation(strategy) {
-        Some(match cached_gc {
-            Some(m) => m,
-            None => solved_gc.insert(gate_cancellation_matrix_with(ham, solver)?),
-        })
-    } else {
-        None
-    };
-    let p_qd = qdrift_matrix(ham);
-    let matrix = match strategy {
-        TransitionStrategy::QDrift => p_qd,
-        TransitionStrategy::GateCancellation { qdrift_weight } => {
-            let p_gc = p_gc.expect("GC strategies carry a P_gc component");
-            combine_refs(&[&p_qd, p_gc], &[*qdrift_weight, 1.0 - *qdrift_weight])?
-        }
-        TransitionStrategy::GateCancellationRandomPerturbation {
-            qdrift_weight,
-            gc_weight,
-            perturbation,
-        } => {
-            let p_gc = p_gc.expect("GC strategies carry a P_gc component");
-            let p_rp = random_perturbation_matrix_with(ham, perturbation, solver)?;
-            let rp_weight = 1.0 - qdrift_weight - gc_weight;
-            combine_refs(
-                &[&p_qd, p_gc, &p_rp],
-                &[*qdrift_weight, *gc_weight, rp_weight],
-            )?
-        }
-        TransitionStrategy::Combined {
-            qdrift_weight,
-            gc_weight,
-            rp_weight,
-            perturbation,
-        } => {
-            let p_gc = p_gc.expect("GC strategies carry a P_gc component");
-            let p_rp = random_perturbation_matrix_with(ham, perturbation, solver)?;
-            combine_refs(
-                &[&p_qd, p_gc, &p_rp],
-                &[*qdrift_weight, *gc_weight, *rp_weight],
-            )?
-        }
-    };
-
-    let pi = ham.stationary_distribution();
-    validate_theorem_4_1(&matrix, &pi)?;
-    Ok(matrix)
-}
-
-/// Like [`build_transition_matrix_solved_by`], but solving every `P_rp`
-/// perturbation sample as a **warm re-pivot** from the `P_gc` spanning
+/// `cached_gc` supplies the `P_gc` matrix *and* the basis its solve
+/// exported, as produced by
+/// [`gate_cancellation_matrix_with_basis`](crate::gate_cancel::gate_cancellation_matrix_with_basis)
+/// for this exact `ham` (the engine's transition cache persists both).
+/// When absent, `P_gc` is solved here. Either way every `P_rp`
+/// perturbation sample is solved as a **warm re-pivot** from the `P_gc`
 /// basis instead of a cold solve — the perturbation changes only edge
-/// costs, so the `P_gc` basis always matches the samples' networks.
-///
-/// `cached_gc` optionally supplies the previously solved `P_gc` matrix
-/// *and* the basis its solve exported (the engine's transition cache
-/// persists both). When absent, `P_gc` is solved here and its basis
-/// feeds the samples directly — the basis is a pure function of
-/// `(ham, solver)`, so cached and uncached builds produce identical
-/// matrices. Backends without warm support (`ssp`) degrade to cold
-/// solves throughout and report zero warm starts, leaving the default
-/// pipeline byte-identical to [`build_transition_matrix_solved_by`].
+/// costs, so the basis always matches the samples' networks. The basis is
+/// a pure function of `ham`, so cached and uncached builds produce
+/// identical matrices. The Theorem 4.1 validation of the final matrix is
+/// performed either way.
 ///
 /// Returns the matrix and the number of flow solves that actually
 /// re-pivoted a saved basis.
@@ -149,25 +60,24 @@ pub fn build_transition_matrix_solved_by(
 /// # Errors
 ///
 /// Same contract as [`build_transition_matrix`].
-pub fn build_transition_matrix_solved_by_warm(
+pub fn build_transition_matrix_with_components(
     ham: &Hamiltonian,
     strategy: &TransitionStrategy,
-    cached_gc: Option<(&TransitionMatrix, Option<&SpanningBasis>)>,
-    solver: SolverKind,
+    cached_gc: Option<(&TransitionMatrix, &SpanningBasis)>,
 ) -> Result<(TransitionMatrix, u64), CompileError> {
     if !strategy.weights_are_valid() {
         return Err(CompileError::InvalidConfig {
             reason: format!("invalid combination weights in {strategy:?}"),
         });
     }
-    let mut solved: Option<(TransitionMatrix, Option<SpanningBasis>)> = None;
+    let mut solved: Option<(TransitionMatrix, SpanningBasis)> = None;
     let (p_gc, gc_basis): (Option<&TransitionMatrix>, Option<&SpanningBasis>) =
         if strategy_uses_gate_cancellation(strategy) {
             match cached_gc {
-                Some((matrix, basis)) => (Some(matrix), basis),
+                Some((matrix, basis)) => (Some(matrix), Some(basis)),
                 None => {
-                    let pair = solved.insert(gate_cancellation_matrix_with_basis(ham, solver)?);
-                    (Some(&pair.0), pair.1.as_ref())
+                    let pair = solved.insert(gate_cancellation_matrix_with_basis(ham)?);
+                    (Some(&pair.0), Some(&pair.1))
                 }
             }
         } else {
@@ -187,8 +97,7 @@ pub fn build_transition_matrix_solved_by_warm(
             perturbation,
         } => {
             let p_gc = p_gc.expect("GC strategies carry a P_gc component");
-            let (p_rp, warm) =
-                random_perturbation_matrix_warm_with(ham, perturbation, solver, gc_basis)?;
+            let (p_rp, warm) = random_perturbation_matrix_warm(ham, perturbation, gc_basis)?;
             warm_starts += warm;
             let rp_weight = 1.0 - qdrift_weight - gc_weight;
             combine_refs(
@@ -203,8 +112,7 @@ pub fn build_transition_matrix_solved_by_warm(
             perturbation,
         } => {
             let p_gc = p_gc.expect("GC strategies carry a P_gc component");
-            let (p_rp, warm) =
-                random_perturbation_matrix_warm_with(ham, perturbation, solver, gc_basis)?;
+            let (p_rp, warm) = random_perturbation_matrix_warm(ham, perturbation, gc_basis)?;
             warm_starts += warm;
             combine_refs(
                 &[&p_qd, p_gc, &p_rp],
@@ -213,14 +121,9 @@ pub fn build_transition_matrix_solved_by_warm(
         }
     };
 
+    // The Theorem 4.1 exit checks.
     let pi = ham.stationary_distribution();
-    validate_theorem_4_1(&matrix, &pi)?;
-    Ok((matrix, warm_starts))
-}
-
-/// The Theorem 4.1 exit checks shared by every builder entry point.
-fn validate_theorem_4_1(matrix: &TransitionMatrix, pi: &[f64]) -> Result<(), CompileError> {
-    if !matrix.preserves_distribution(pi, 1e-7) {
+    if !matrix.preserves_distribution(&pi, 1e-7) {
         return Err(CompileError::TheoremViolation {
             condition: "stationary distribution preservation",
         });
@@ -230,7 +133,7 @@ fn validate_theorem_4_1(matrix: &TransitionMatrix, pi: &[f64]) -> Result<(), Com
             condition: "strong connectivity",
         });
     }
-    Ok(())
+    Ok((matrix, warm_starts))
 }
 
 #[cfg(test)]
@@ -291,14 +194,15 @@ mod tests {
     #[test]
     fn cached_gc_component_gives_the_same_matrix() {
         let ham = example();
-        let p_gc = crate::gate_cancel::gate_cancellation_matrix(&ham).unwrap();
+        let (p_gc, basis) = crate::gate_cancel::gate_cancellation_matrix_with_basis(&ham).unwrap();
         for strategy in [
             TransitionStrategy::marqsim_gc(),
             TransitionStrategy::marqsim_gc_rp(),
         ] {
             let fresh = build_transition_matrix(&ham, &strategy).unwrap();
-            let reused =
-                build_transition_matrix_with_components(&ham, &strategy, Some(&p_gc)).unwrap();
+            let (reused, _) =
+                build_transition_matrix_with_components(&ham, &strategy, Some((&p_gc, &basis)))
+                    .unwrap();
             assert_eq!(fresh.rows(), reused.rows(), "{strategy:?}");
         }
         assert!(!strategy_uses_gate_cancellation(

@@ -16,7 +16,7 @@ use marqsim_core::experiment::{
 };
 use marqsim_core::metrics::evaluate_fidelity_against;
 use marqsim_core::{
-    CompileError, CompileResult, Compiler, CompilerConfig, HttGraph, SolverKind, TransitionStrategy,
+    CompileError, CompileResult, Compiler, CompilerConfig, HttGraph, TransitionStrategy,
 };
 use marqsim_linalg::Matrix;
 use marqsim_obs::{metrics, trace};
@@ -65,9 +65,7 @@ impl EngineConfig {
     ///   enable/disable the transition cache;
     /// * `MARQSIM_CACHE_CAP=N` — LRU entry cap per cache shard
     ///   (`0` = unbounded, default [`DEFAULT_CACHE_CAP`](crate::cache::DEFAULT_CACHE_CAP));
-    /// * `MARQSIM_CACHE_DIR=PATH` — enable `P_gc` disk persistence;
-    /// * `MARQSIM_FLOW_SOLVER=ssp|network_simplex` — default min-cost-flow
-    ///   backend for every flow solve this engine performs.
+    /// * `MARQSIM_CACHE_DIR=PATH` — enable `P_gc` disk persistence.
     ///
     /// Unset or empty variables keep their defaults.
     ///
@@ -88,7 +86,6 @@ impl EngineConfig {
             var("MARQSIM_CACHE").as_deref(),
             var("MARQSIM_CACHE_CAP").as_deref(),
             var("MARQSIM_CACHE_DIR").as_deref(),
-            var("MARQSIM_FLOW_SOLVER").as_deref(),
         )
     }
 
@@ -106,7 +103,6 @@ impl EngineConfig {
         cache: Option<&str>,
         cache_cap: Option<&str>,
         cache_dir: Option<&str>,
-        flow_solver: Option<&str>,
     ) -> Result<Self, EngineError> {
         let mut config = EngineConfig::default();
         if let Some(raw) = threads {
@@ -132,14 +128,6 @@ impl EngineConfig {
         }
         if let Some(raw) = cache_dir {
             config.cache.persist_dir = Some(raw.into());
-        }
-        if let Some(raw) = flow_solver {
-            config.cache.flow_solver = SolverKind::parse(raw).ok_or_else(|| {
-                EngineError::invalid_config(format!(
-                    "MARQSIM_FLOW_SOLVER={raw:?} is not a registered backend (use {})",
-                    SolverKind::SELECTABLE.map(SolverKind::as_str).join("/")
-                ))
-            })?;
         }
         Ok(config)
     }
@@ -412,13 +400,6 @@ impl Engine {
         self.cache_enabled
     }
 
-    /// The engine's default min-cost-flow backend (`MARQSIM_FLOW_SOLVER` /
-    /// [`CacheConfig::flow_solver`]); a submission's
-    /// [`SubmitOptions::flow_solver`] overrides it per job.
-    pub fn flow_solver(&self) -> SolverKind {
-        self.cache.flow_solver()
-    }
-
     /// Number of asynchronously submitted jobs that have not yet produced
     /// an outcome.
     pub fn active_jobs(&self) -> usize {
@@ -441,8 +422,7 @@ impl Engine {
 
     /// The shared plumbing of every *synchronous* built-in run
     /// ([`compile_many`](Self::compile_many), [`run_sweeps`](Self::run_sweeps)):
-    /// fresh cancel token, engine-level progress sink, normal priority,
-    /// engine-default flow solver.
+    /// fresh cancel token, engine-level progress sink, normal priority.
     fn run_builtin_default(
         &self,
         jobs: Vec<BuiltinJob>,
@@ -453,7 +433,6 @@ impl Engine {
             &CancelToken::new(),
             &|completed, total| sink.emit(Progress { completed, total }),
             Priority::Normal,
-            self.flow_solver(),
         )
     }
 
@@ -471,7 +450,6 @@ impl Engine {
             CancelToken::new(),
             self.default_sink(),
             Priority::Normal,
-            self.flow_solver(),
             workload.total_units(),
         );
         workload.run(&ctx)
@@ -551,7 +529,6 @@ impl Engine {
         let id = JobId(self.next_job_id.fetch_add(1, Ordering::Relaxed));
         let state = Arc::new(JobState::new(id, workload.label().to_string()));
         let control = JobControl::new(Arc::clone(&state));
-        let flow_solver = options.flow_solver.unwrap_or_else(|| self.flow_solver());
 
         self.active_jobs.fetch_add(1, Ordering::Relaxed);
         let registry = metrics::global();
@@ -571,8 +548,7 @@ impl Engine {
                     // Named `job`, not `id`: the record already carries
                     // the span's own `id` key.
                     .field("job", job_id)
-                    .field("label", coordinator_state.label.as_str())
-                    .field("flow_solver", flow_solver.as_str());
+                    .field("label", coordinator_state.label.as_str());
                 let sink = ProgressSink::new(
                     Some(Arc::new(move |progress| on_progress(id, progress))),
                     Some(Arc::clone(&coordinator_state)),
@@ -589,7 +565,6 @@ impl Engine {
                         cancel,
                         sink,
                         options.priority,
-                        flow_solver,
                         workload.total_units(),
                     );
                     // A panic in a custom workload body costs that job, not
@@ -725,7 +700,6 @@ impl Engine {
         cancel: &CancelToken,
         on_progress: &(dyn Fn(usize, usize) + Sync),
         priority: Priority,
-        solver: SolverKind,
     ) -> Vec<Result<BuiltinOutcome, EngineError>> {
         // A job cancelled before graph resolution never touches the pool.
         if cancel.is_cancelled() {
@@ -736,10 +710,8 @@ impl Engine {
         }
         // Phase 1: resolve one HTT graph per job, building on the pool.
         let graphs = {
-            let _span = trace::Span::enter("resolve_graph")
-                .field("jobs", jobs.len())
-                .field("backend", solver.as_str());
-            self.resolve_graphs(&jobs, priority, solver)
+            let _span = trace::Span::enter("resolve_graph").field("jobs", jobs.len());
+            self.resolve_graphs(&jobs, priority)
         };
         let resolved = self.resolve_exacts(&jobs, graphs, priority);
 
@@ -868,7 +840,6 @@ impl Engine {
         &self,
         jobs: &[BuiltinJob],
         priority: Priority,
-        solver: SolverKind,
     ) -> Vec<Result<Arc<HttGraph>, EngineError>> {
         if !self.cache_enabled {
             let inputs: Vec<(Hamiltonian, TransitionStrategy)> = jobs
@@ -882,7 +853,7 @@ impl Engine {
                     inputs,
                     Arc::new(
                         move |_idx, (ham, strategy): (Hamiltonian, TransitionStrategy)| {
-                            HttGraph::build_with_solver(&ham, &strategy, solver).map(Arc::new)
+                            HttGraph::build(&ham, &strategy).map(Arc::new)
                         },
                     ),
                     |_| {},
@@ -906,7 +877,6 @@ impl Engine {
             let key = CacheKey {
                 fingerprint: hamiltonian_fingerprint(job.hamiltonian()),
                 strategy: StrategyKey::of(job.strategy()),
-                solver,
             };
             let index = distinct
                 .iter()
@@ -937,7 +907,7 @@ impl Engine {
                     .into_iter()
                     .map(|index| {
                         let (ham, strategy, _) = &shared_distinct[index];
-                        (index, cache.get_or_build_with(ham, strategy, solver))
+                        (index, cache.get_or_build(ham, strategy))
                     })
                     .collect::<Vec<_>>()
             }),

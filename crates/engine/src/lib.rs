@@ -69,7 +69,7 @@
 //!
 //! # Environment
 //!
-//! [`Engine::from_env`] reads five variables; unset or empty means "use
+//! [`Engine::from_env`] reads four variables; unset or empty means "use
 //! the default", and any unparsable value is a hard
 //! [`EngineError::InvalidConfig`] naming the offending setting — never a
 //! silent fallback.
@@ -82,9 +82,6 @@
 //!   (`0` = unbounded; default [`cache::DEFAULT_CACHE_CAP`]).
 //! * `MARQSIM_CACHE_DIR=PATH` — persist solved `P_gc` matrices under
 //!   `PATH` and reload them in later processes.
-//! * `MARQSIM_FLOW_SOLVER=ssp|network_simplex` — default min-cost-flow
-//!   backend ([`SolverKind`]); per-job override via
-//!   [`SubmitOptions::with_flow_solver`].
 //!
 //! # Example
 //!
@@ -132,9 +129,6 @@ pub use cache::{
 pub use engine::{CompileOutcome, CompileRequest, Engine, EngineConfig, Progress, SweepRequest};
 pub use error::EngineError;
 pub use job::{CancelToken, JobControl, JobHandle, JobId};
-/// Re-export of the min-cost-flow backend selector, so engine/serve callers
-/// pick a backend without a direct `marqsim-flow` dependency.
-pub use marqsim_core::SolverKind;
 pub use pool::{Priority, ThreadPool};
 pub use shard::ShardedLru;
 pub use workload::{
@@ -147,7 +141,9 @@ pub use workload::{
 mod tests {
     use super::*;
     use marqsim_core::experiment::{run_sweep, SweepConfig};
-    use marqsim_core::perturb::{perturbed_matrix_sample, PerturbationConfig};
+    use marqsim_core::perturb::{
+        perturbed_matrix_sample_warm, perturbed_matrix_sample_with_basis, PerturbationConfig,
+    };
     use marqsim_core::{CompilerConfig, TransitionStrategy};
     use marqsim_markov::combine::combine;
     use marqsim_pauli::Hamiltonian;
@@ -411,7 +407,7 @@ mod tests {
         assert!(config.cache_enabled);
         assert_eq!(config.with_threads(3).threads, 3);
 
-        let parsed = EngineConfig::from_values(Some("6"), None, None, None, None).unwrap();
+        let parsed = EngineConfig::from_values(Some("6"), None, None, None).unwrap();
         assert_eq!(parsed.threads, 6);
         assert!(parsed.cache_enabled);
     }
@@ -421,7 +417,7 @@ mod tests {
         // MARQSIM_THREADS=0 and garbage used to silently fall back to
         // "auto"; both must now produce a clear InvalidConfig.
         for bad in ["0", "garbage", "-2", "1.5"] {
-            let err = EngineConfig::from_values(Some(bad), None, None, None, None).unwrap_err();
+            let err = EngineConfig::from_values(Some(bad), None, None, None).unwrap_err();
             assert!(
                 matches!(err, EngineError::InvalidConfig { .. }),
                 "MARQSIM_THREADS={bad}"
@@ -432,9 +428,9 @@ mod tests {
 
     #[test]
     fn invalid_cache_switches_and_caps_are_hard_errors() {
-        let err = EngineConfig::from_values(None, Some("maybe"), None, None, None).unwrap_err();
+        let err = EngineConfig::from_values(None, Some("maybe"), None, None).unwrap_err();
         assert!(err.to_string().contains("MARQSIM_CACHE"));
-        let err = EngineConfig::from_values(None, None, Some("lots"), None, None).unwrap_err();
+        let err = EngineConfig::from_values(None, None, Some("lots"), None).unwrap_err();
         assert!(err.to_string().contains("MARQSIM_CACHE_CAP"));
 
         // Every documented spelling of the switch parses.
@@ -448,7 +444,7 @@ mod tests {
             ("false", false),
             ("no", false),
         ] {
-            let config = EngineConfig::from_values(None, Some(value), None, None, None).unwrap();
+            let config = EngineConfig::from_values(None, Some(value), None, None).unwrap();
             assert_eq!(config.cache_enabled, enabled, "MARQSIM_CACHE={value}");
         }
     }
@@ -456,8 +452,7 @@ mod tests {
     #[test]
     fn cache_cap_and_dir_reach_the_cache_config() {
         let config =
-            EngineConfig::from_values(None, None, Some("17"), Some("/tmp/marqsim-cc"), None)
-                .unwrap();
+            EngineConfig::from_values(None, None, Some("17"), Some("/tmp/marqsim-cc")).unwrap();
         assert_eq!(config.cache.cap_per_shard, 17);
         assert_eq!(
             config.cache.persist_dir.as_deref(),
@@ -656,10 +651,17 @@ mod tests {
             seed: 13,
             ..Default::default()
         };
-        // The reference: serial combination of the independently seeded
-        // samples the workload is specified to average.
-        let matrices: Vec<_> = (0..config.samples)
-            .map(|i| perturbed_matrix_sample(&ham(), &config, i).unwrap())
+        // The reference: the serial chain the workload is specified to
+        // average — sample 0 solved cold, samples 1.. re-pivoted from its
+        // basis.
+        let (first, basis) = perturbed_matrix_sample_with_basis(&ham(), &config, 0).unwrap();
+        let matrices: Vec<_> = std::iter::once(first)
+            .chain((1..config.samples).map(|i| {
+                let (matrix, warm) =
+                    perturbed_matrix_sample_warm(&ham(), &config, i, &basis).unwrap();
+                assert!(warm, "sample {i} re-pivots the sample-0 basis");
+                matrix
+            }))
             .collect();
         let weights = vec![1.0 / config.samples as f64; config.samples];
         let expected = combine(&matrices, &weights).unwrap();
@@ -686,17 +688,12 @@ mod tests {
             seed: 13,
             ..Default::default()
         };
-        // Simplex backend: sample 0 solves cold and exports its basis, the
-        // other samples re-pivot — the stats window must read exactly
-        // flow_solves = 1, warm_starts = samples - 1.
-        let cache_config = CacheConfig::default().with_flow_solver(SolverKind::NetworkSimplex);
+        // Sample 0 solves cold and exports its basis, the other samples
+        // re-pivot — the stats window must read exactly flow_solves = 1,
+        // warm_starts = samples - 1.
         let mut results = Vec::new();
         for threads in [1, 4] {
-            let engine = Engine::new(
-                EngineConfig::default()
-                    .with_threads(threads)
-                    .with_cache_config(cache_config.clone()),
-            );
+            let engine = Engine::new(EngineConfig::default().with_threads(threads));
             let before = engine.cache().stats();
             let result: PerturbAverageResult = engine
                 .run_workload(&PerturbAverageWorkload::new("prp-warm", ham(), config))
@@ -705,7 +702,6 @@ mod tests {
                 .expect("perturb output");
             let delta = engine.cache().stats().delta_since(&before);
             assert_eq!(delta.flow_solves, 1, "{threads} threads: one cold solve");
-            assert_eq!(delta.flow_solves_simplex, 1, "{threads} threads");
             assert_eq!(
                 delta.warm_starts,
                 config.samples as u64 - 1,
@@ -720,17 +716,6 @@ mod tests {
             results[0], results[1],
             "warm averaging is deterministic across thread counts"
         );
-
-        // The default backend has no warm support: every sample solves
-        // cold and is attributed as a plain flow solve.
-        let engine = Engine::new(EngineConfig::default().with_threads(2));
-        let before = engine.cache().stats();
-        engine
-            .run_workload(&PerturbAverageWorkload::new("prp-cold", ham(), config))
-            .unwrap();
-        let delta = engine.cache().stats().delta_since(&before);
-        assert_eq!(delta.flow_solves, config.samples as u64);
-        assert_eq!(delta.warm_starts, 0);
     }
 
     #[test]
@@ -786,86 +771,21 @@ mod tests {
     }
 
     #[test]
-    fn flow_solver_env_values_parse_strictly() {
-        let parsed =
-            EngineConfig::from_values(None, None, None, None, Some("network_simplex")).unwrap();
-        assert_eq!(parsed.cache.flow_solver, SolverKind::NetworkSimplex);
-        let parsed = EngineConfig::from_values(None, None, None, None, Some("ssp")).unwrap();
-        assert_eq!(parsed.cache.flow_solver, SolverKind::SuccessiveShortestPath);
-        let err = EngineConfig::from_values(None, None, None, None, Some("dijkstra")).unwrap_err();
-        assert!(matches!(err, EngineError::InvalidConfig { .. }));
-        assert!(err.to_string().contains("MARQSIM_FLOW_SOLVER"), "{err}");
-        assert!(err.to_string().contains("network_simplex"), "{err}");
-    }
-
-    #[test]
-    fn flow_solver_selection_is_cached_and_attributed_per_backend() {
-        let engine = Arc::new(Engine::new(EngineConfig::default().with_threads(2)));
-        assert_eq!(engine.flow_solver(), SolverKind::Auto);
-        let config = SweepConfig::quick(0.5);
-        let strategy = TransitionStrategy::marqsim_gc();
-
-        // `Auto` resolves the tiny test Hamiltonian to the SSP backend, so
-        // the solve is attributed there.
-        engine.run_sweep(&ham(), &strategy, &config).unwrap();
-        let stats = engine.cache().stats();
-        assert_eq!(stats.flow_solves_ssp, 1);
-        assert_eq!(stats.flow_solves_simplex, 0);
-        assert_eq!(stats.flow_solves, 1);
-
-        // Per-job override: its own cache entry, attributed to the simplex
-        // backend.
-        let ns_options = SubmitOptions::new().with_flow_solver(SolverKind::NetworkSimplex);
-        let handle = engine.submit_with_options(
-            sweep_workload("async/ns", strategy.clone(), config.clone()),
-            ns_options.clone(),
-            |_| {},
-        );
-        let swept = handle.collect().unwrap().into_swept();
-        assert_eq!(swept.points.len(), 6);
-        let stats = engine.cache().stats();
-        assert_eq!(stats.flow_solves_simplex, 1);
-        assert_eq!(stats.flow_solves, 2);
-        assert_eq!(stats.misses, 2, "the backend is part of the cache key");
-
-        // Repeats under the same override are pure cache hits.
-        let handle = engine.submit_with_options(
-            sweep_workload("async/ns2", strategy, config),
-            ns_options,
-            |_| {},
-        );
-        handle.collect().unwrap();
-        let stats = engine.cache().stats();
-        assert_eq!(stats.flow_solves, 2, "no further solves");
-        assert!(stats.hits >= 1);
-    }
-
-    #[test]
     fn network_simplex_engine_sweeps_are_deterministic_across_thread_counts() {
-        // The alternate backend has the same determinism contract as the
-        // default: the sweep outcome is a pure function of the request.
+        // The sweep outcome is a pure function of the request: the simplex
+        // solves and warm re-pivots do not depend on scheduling.
         let config = SweepConfig::quick(0.5);
-        let strategy = TransitionStrategy::marqsim_gc();
-        let cache_config = CacheConfig::default().with_flow_solver(SolverKind::NetworkSimplex);
-        let reference = Engine::new(
-            EngineConfig::default()
-                .with_threads(1)
-                .with_cache_config(cache_config.clone()),
-        );
-        assert_eq!(reference.flow_solver(), SolverKind::NetworkSimplex);
+        let strategy = TransitionStrategy::marqsim_gc_rp();
+        let reference = Engine::new(EngineConfig::default().with_threads(1));
         let expected = reference.run_sweep(&ham(), &strategy, &config).unwrap();
         for threads in [2, 4] {
-            let engine = Engine::new(
-                EngineConfig::default()
-                    .with_threads(threads)
-                    .with_cache_config(cache_config.clone()),
-            );
+            let engine = Engine::new(EngineConfig::default().with_threads(threads));
             let swept = engine.run_sweep(&ham(), &strategy, &config).unwrap();
             for (a, b) in swept.points.iter().zip(&expected.points) {
                 assert_eq!(a.seed, b.seed, "{threads} threads");
                 assert_eq!(a.stats, b.stats, "{threads} threads");
             }
-            assert_eq!(engine.cache().stats().flow_solves_simplex, 1);
+            assert_eq!(engine.cache().stats().flow_solves, 1);
         }
     }
 

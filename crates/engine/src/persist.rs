@@ -8,7 +8,7 @@
 //! (CI, figure regeneration) nearly free: a fresh process loads the matrix
 //! instead of re-solving the flow model.
 //!
-//! # File format (version 3)
+//! # File format (version 4)
 //!
 //! One file per component, named `pgc-<fingerprint:016x>.mqsc`, all fields
 //! little-endian:
@@ -23,8 +23,6 @@
 //!                           num_qubits × PauliOp byte)
 //! states      u64          -- matrix dimension (== num_terms)
 //! rows        states² × f64 bits as u64
-//! basis_flag  u8           -- 0 = no spanning basis follows, 1 = it does
-//! [when basis_flag == 1]
 //! topology    u64          -- flow-network topology fingerprint
 //! num_nodes   u64          -- real node count of the solved network
 //! num_real    u64          -- real arc count
@@ -32,10 +30,10 @@
 //! arc_flows   (num_real + num_nodes) × f64 bits as u64
 //! ```
 //!
-//! The basis section (version 3) stores the network simplex's optimal
-//! spanning basis next to the matrix, so a later process warm-starts the
-//! `P_rp` perturbation solves from the loaded basis exactly as the
-//! original process did; `ssp` components write `basis_flag = 0`.
+//! The basis section stores the network simplex's optimal spanning basis
+//! next to the matrix, so a later process warm-starts the `P_rp`
+//! perturbation solves from the loaded basis exactly as the original
+//! process did.
 //!
 //! # Safety against collisions and stale files
 //!
@@ -57,7 +55,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use marqsim_core::{SolverKind, SpanningBasis};
+use marqsim_core::SpanningBasis;
 use marqsim_markov::TransitionMatrix;
 use marqsim_pauli::{Hamiltonian, PauliOp, PauliString, Term};
 
@@ -72,35 +70,31 @@ const MAGIC: &[u8; 4] = b"MQSC";
 /// re-solved rather than loaded so a cached matrix is never paired with a
 /// missing basis (which would make warm-started `P_rp` samples depend on
 /// which process solved `P_gc`).
-const VERSION: u32 = 3;
+/// Bumped to 4 when the network simplex became the only backend and every
+/// component moved into the one `pgc-<fp>.mqsc` name: a version-3 file at
+/// that name was solved by successive shortest paths, which may pick a
+/// different (equally optimal) flow and stored no basis, so it is
+/// re-solved rather than loaded as a simplex result. Version 4 also drops
+/// the version-3 basis-present flag byte: every simplex solve exports a
+/// basis, so the basis section is mandatory.
+const VERSION: u32 = 4;
 
-/// Path of the component file for a fingerprint inside `dir` (the default
-/// backend's layout, unchanged since version 1 so existing cache
-/// directories stay valid).
+/// Path of the component file for a fingerprint inside `dir`.
 pub(crate) fn component_path(dir: &Path, fingerprint: u64) -> PathBuf {
     dir.join(format!("pgc-{fingerprint:016x}.mqsc"))
 }
 
-/// Path of the component file for a fingerprint solved by `solver`.
-/// Non-default backends get a backend-tagged file name: backends guarantee
-/// equal optimal cost but may pick different optimal flows on degenerate
-/// instances, so persisted components are never shared across backends.
-pub(crate) fn component_path_for(dir: &Path, fingerprint: u64, solver: SolverKind) -> PathBuf {
-    match solver {
-        SolverKind::SuccessiveShortestPath => component_path(dir, fingerprint),
-        other => dir.join(format!("pgc-{fingerprint:016x}.{}.mqsc", other.as_str())),
-    }
-}
-
-/// Serializes `(ham, matrix, basis)` into the version-3 binary format.
+/// Serializes `(ham, matrix, basis)` into the version-4 binary format.
 fn encode(
     fingerprint: u64,
     ham: &Hamiltonian,
     matrix: &TransitionMatrix,
-    basis: Option<&SpanningBasis>,
+    basis: &SpanningBasis,
 ) -> Vec<u8> {
     let n = matrix.num_states();
-    let mut out = Vec::with_capacity(4 + 4 + 8 * 3 + ham.num_terms() * 16 + n * n * 8 + 1);
+    let arcs = basis.flows().len();
+    let mut out =
+        Vec::with_capacity(4 + 4 + 8 * 3 + ham.num_terms() * 16 + n * n * 8 + 8 * 3 + arcs * 9);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&fingerprint.to_le_bytes());
@@ -118,18 +112,12 @@ fn encode(
             out.extend_from_slice(&p.to_bits().to_le_bytes());
         }
     }
-    match basis {
-        Some(basis) => {
-            out.push(1);
-            out.extend_from_slice(&basis.topology().to_le_bytes());
-            out.extend_from_slice(&(basis.num_nodes() as u64).to_le_bytes());
-            out.extend_from_slice(&(basis.num_real_arcs() as u64).to_le_bytes());
-            out.extend_from_slice(&basis.state_bytes());
-            for &flow in basis.flows() {
-                out.extend_from_slice(&flow.to_bits().to_le_bytes());
-            }
-        }
-        None => out.push(0),
+    out.extend_from_slice(&basis.topology().to_le_bytes());
+    out.extend_from_slice(&(basis.num_nodes() as u64).to_le_bytes());
+    out.extend_from_slice(&(basis.num_real_arcs() as u64).to_le_bytes());
+    out.extend_from_slice(&basis.state_bytes());
+    for &flow in basis.flows() {
+        out.extend_from_slice(&flow.to_bits().to_le_bytes());
     }
     out
 }
@@ -145,10 +133,9 @@ fn encode(
 pub(crate) fn save_component(
     dir: &Path,
     fingerprint: u64,
-    solver: SolverKind,
     ham: &Hamiltonian,
     matrix: &TransitionMatrix,
-    basis: Option<&SpanningBasis>,
+    basis: &SpanningBasis,
 ) -> io::Result<()> {
     fs::create_dir_all(dir)?;
     let bytes = encode(fingerprint, ham, matrix, basis);
@@ -162,24 +149,23 @@ pub(crate) fn save_component(
         std::process::id()
     ));
     fs::write(&tmp, &bytes)?;
-    let result = fs::rename(&tmp, component_path_for(dir, fingerprint, solver));
+    let result = fs::rename(&tmp, component_path(dir, fingerprint));
     if result.is_err() {
         let _ = fs::remove_file(&tmp);
     }
     result
 }
 
-/// Loads the component for `fingerprint` solved by `solver` from `dir`,
+/// Loads the component for `fingerprint` from `dir`,
 /// returning `None` — a plain cache miss — unless every validation
 /// described in the module docs passes against `expected`. The second
-/// element is the persisted spanning basis, when the solve exported one.
+/// element is the persisted spanning basis.
 pub(crate) fn load_component(
     dir: &Path,
     fingerprint: u64,
-    solver: SolverKind,
     expected: &Hamiltonian,
-) -> Option<(TransitionMatrix, Option<SpanningBasis>)> {
-    let bytes = fs::read(component_path_for(dir, fingerprint, solver)).ok()?;
+) -> Option<(TransitionMatrix, SpanningBasis)> {
+    let bytes = fs::read(component_path(dir, fingerprint)).ok()?;
     decode(&bytes, fingerprint, expected)
 }
 
@@ -187,7 +173,7 @@ fn decode(
     bytes: &[u8],
     fingerprint: u64,
     expected: &Hamiltonian,
-) -> Option<(TransitionMatrix, Option<SpanningBasis>)> {
+) -> Option<(TransitionMatrix, SpanningBasis)> {
     let mut cursor = Cursor { bytes, pos: 0 };
     if cursor.take(4)? != MAGIC {
         return None;
@@ -235,30 +221,18 @@ fn decode(
         }
         rows.push(row);
     }
-    let basis = match cursor.take(1)? {
-        [0] => None,
-        [1] => {
-            let topology = cursor.u64()?;
-            let num_nodes = cursor.u64()? as usize;
-            let num_real = cursor.u64()? as usize;
-            let total = num_real.checked_add(num_nodes)?;
-            // `take` bounds `total` against the remaining bytes before any
-            // allocation, mirroring the header guard above.
-            let state_bytes = cursor.take(total)?;
-            let mut flows = Vec::with_capacity(total);
-            for _ in 0..total {
-                flows.push(f64::from_bits(cursor.u64()?));
-            }
-            Some(SpanningBasis::from_raw(
-                topology,
-                num_nodes,
-                num_real,
-                state_bytes,
-                flows,
-            )?)
-        }
-        _ => return None,
-    };
+    let topology = cursor.u64()?;
+    let num_nodes = cursor.u64()? as usize;
+    let num_real = cursor.u64()? as usize;
+    let total = num_real.checked_add(num_nodes)?;
+    // `take` bounds `total` against the remaining bytes before any
+    // allocation, mirroring the header guard above.
+    let state_bytes = cursor.take(total)?;
+    let mut flows = Vec::with_capacity(total);
+    for _ in 0..total {
+        flows.push(f64::from_bits(cursor.u64()?));
+    }
+    let basis = SpanningBasis::from_raw(topology, num_nodes, num_real, state_bytes, flows)?;
     if cursor.pos != bytes.len() {
         return None;
     }
@@ -290,12 +264,16 @@ impl<'a> Cursor<'a> {
 mod tests {
     use super::*;
     use crate::cache::hamiltonian_fingerprint;
-    use marqsim_core::gate_cancel::{
-        gate_cancellation_matrix, gate_cancellation_matrix_with_basis,
-    };
+    use marqsim_core::gate_cancel::gate_cancellation_matrix_with_basis;
 
     fn ham() -> Hamiltonian {
         Hamiltonian::parse("1.0 IIIZ + 0.5 IIZZ + 0.4 XXYY + 0.1 ZXZY").unwrap()
+    }
+
+    /// Byte length of the trailing basis section: three u64 headers, one
+    /// state byte and one f64 flow per arc.
+    fn basis_section_len(basis: &SpanningBasis) -> usize {
+        8 * 3 + 9 * (basis.num_real_arcs() + basis.num_nodes())
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -310,12 +288,10 @@ mod tests {
         let dir = temp_dir("roundtrip");
         let ham = ham();
         let fp = hamiltonian_fingerprint(&ham);
-        let matrix = gate_cancellation_matrix(&ham).unwrap();
-        save_component(&dir, fp, SolverKind::default(), &ham, &matrix, None).unwrap();
-        let (loaded, basis) =
-            load_component(&dir, fp, SolverKind::default(), &ham).expect("valid file loads");
+        let (matrix, basis) = gate_cancellation_matrix_with_basis(&ham).unwrap();
+        save_component(&dir, fp, &ham, &matrix, &basis).unwrap();
+        let (loaded, _) = load_component(&dir, fp, &ham).expect("valid file loads");
         assert_eq!(loaded, matrix, "bit-identical rows");
-        assert!(basis.is_none(), "no basis was saved");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -324,22 +300,10 @@ mod tests {
         let dir = temp_dir("basis-roundtrip");
         let ham = ham();
         let fp = hamiltonian_fingerprint(&ham);
-        let (matrix, basis) =
-            gate_cancellation_matrix_with_basis(&ham, SolverKind::NetworkSimplex).unwrap();
-        let basis = basis.expect("network simplex exports its optimal basis");
-        save_component(
-            &dir,
-            fp,
-            SolverKind::NetworkSimplex,
-            &ham,
-            &matrix,
-            Some(&basis),
-        )
-        .unwrap();
-        let (loaded, loaded_basis) =
-            load_component(&dir, fp, SolverKind::NetworkSimplex, &ham).expect("valid file loads");
+        let (matrix, basis) = gate_cancellation_matrix_with_basis(&ham).unwrap();
+        save_component(&dir, fp, &ham, &matrix, &basis).unwrap();
+        let (loaded, loaded_basis) = load_component(&dir, fp, &ham).expect("valid file loads");
         assert_eq!(loaded, matrix, "bit-identical rows");
-        let loaded_basis = loaded_basis.expect("basis section round-trips");
         assert_eq!(loaded_basis.topology(), basis.topology());
         assert_eq!(loaded_basis.num_nodes(), basis.num_nodes());
         assert_eq!(loaded_basis.num_real_arcs(), basis.num_real_arcs());
@@ -349,34 +313,9 @@ mod tests {
     }
 
     #[test]
-    fn backends_persist_to_separate_files() {
-        let dir = temp_dir("backend-namespacing");
-        let ham = ham();
-        let fp = hamiltonian_fingerprint(&ham);
-        let matrix = gate_cancellation_matrix(&ham).unwrap();
-        save_component(&dir, fp, SolverKind::NetworkSimplex, &ham, &matrix, None).unwrap();
-        assert_ne!(
-            component_path_for(&dir, fp, SolverKind::NetworkSimplex),
-            component_path(&dir, fp),
-            "non-default backend gets a tagged file"
-        );
-        assert!(
-            load_component(&dir, fp, SolverKind::default(), &ham).is_none(),
-            "a simplex-solved component must not answer a default-backend load"
-        );
-        assert_eq!(
-            load_component(&dir, fp, SolverKind::NetworkSimplex, &ham)
-                .unwrap()
-                .0,
-            matrix
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn missing_file_is_a_miss() {
         let dir = temp_dir("missing");
-        assert!(load_component(&dir, 1234, SolverKind::default(), &ham()).is_none());
+        assert!(load_component(&dir, 1234, &ham()).is_none());
     }
 
     #[test]
@@ -384,32 +323,23 @@ mod tests {
         let dir = temp_dir("corrupt");
         let ham = ham();
         let fp = hamiltonian_fingerprint(&ham);
-        let matrix = gate_cancellation_matrix(&ham).unwrap();
-        save_component(&dir, fp, SolverKind::default(), &ham, &matrix, None).unwrap();
+        let (matrix, basis) = gate_cancellation_matrix_with_basis(&ham).unwrap();
+        save_component(&dir, fp, &ham, &matrix, &basis).unwrap();
         let path = component_path(&dir, fp);
         let good = fs::read(&path).unwrap();
 
         // Truncation anywhere must be rejected, as must trailing garbage
         // and a flipped magic byte.
         fs::write(&path, &good[..good.len() / 2]).unwrap();
-        assert!(
-            load_component(&dir, fp, SolverKind::default(), &ham).is_none(),
-            "truncated"
-        );
+        assert!(load_component(&dir, fp, &ham).is_none(), "truncated");
         let mut extended = good.clone();
         extended.push(0);
         fs::write(&path, &extended).unwrap();
-        assert!(
-            load_component(&dir, fp, SolverKind::default(), &ham).is_none(),
-            "trailing bytes"
-        );
+        assert!(load_component(&dir, fp, &ham).is_none(), "trailing bytes");
         let mut flipped = good.clone();
         flipped[0] ^= 0xff;
         fs::write(&path, &flipped).unwrap();
-        assert!(
-            load_component(&dir, fp, SolverKind::default(), &ham).is_none(),
-            "bad magic"
-        );
+        assert!(load_component(&dir, fp, &ham).is_none(), "bad magic");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -421,11 +351,11 @@ mod tests {
         let dir = temp_dir("stale");
         let ham = ham();
         let other = Hamiltonian::parse("0.6 XZII + 0.4 ZYII + 0.3 XXII + 0.1 IIZZ").unwrap();
-        let matrix = gate_cancellation_matrix(&ham).unwrap();
+        let (matrix, basis) = gate_cancellation_matrix_with_basis(&ham).unwrap();
         let other_fp = hamiltonian_fingerprint(&other);
-        save_component(&dir, other_fp, SolverKind::default(), &ham, &matrix, None).unwrap();
+        save_component(&dir, other_fp, &ham, &matrix, &basis).unwrap();
         assert!(
-            load_component(&dir, other_fp, SolverKind::default(), &other).is_none(),
+            load_component(&dir, other_fp, &other).is_none(),
             "stored Hamiltonian differs from the requested one"
         );
         let _ = fs::remove_dir_all(&dir);
@@ -436,17 +366,17 @@ mod tests {
         let dir = temp_dir("tampered");
         let ham = ham();
         let fp = hamiltonian_fingerprint(&ham);
-        let matrix = gate_cancellation_matrix(&ham).unwrap();
-        save_component(&dir, fp, SolverKind::default(), &ham, &matrix, None).unwrap();
+        let (matrix, basis) = gate_cancellation_matrix_with_basis(&ham).unwrap();
+        save_component(&dir, fp, &ham, &matrix, &basis).unwrap();
         let path = component_path(&dir, fp);
         let mut bytes = fs::read(&path).unwrap();
-        // Overwrite the last matrix entry with 7.0 (the matrix rows end one
-        // byte before EOF — the trailing byte is the basis flag): the row no
-        // longer sums to one, so TransitionMatrix::new must reject the load.
-        let last = bytes.len() - 9;
+        // Overwrite the last matrix entry with 7.0 (the matrix rows end
+        // where the trailing basis section starts): the row no longer sums
+        // to one, so TransitionMatrix::new must reject the load.
+        let last = bytes.len() - basis_section_len(&basis) - 8;
         bytes[last..last + 8].copy_from_slice(&7.0f64.to_bits().to_le_bytes());
         fs::write(&path, &bytes).unwrap();
-        assert!(load_component(&dir, fp, SolverKind::default(), &ham).is_none());
+        assert!(load_component(&dir, fp, &ham).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -459,13 +389,32 @@ mod tests {
         let dir = temp_dir("old-version");
         let ham = ham();
         let fp = hamiltonian_fingerprint(&ham);
-        let matrix = gate_cancellation_matrix(&ham).unwrap();
-        save_component(&dir, fp, SolverKind::default(), &ham, &matrix, None).unwrap();
+        let (matrix, basis) = gate_cancellation_matrix_with_basis(&ham).unwrap();
+        save_component(&dir, fp, &ham, &matrix, &basis).unwrap();
         let path = component_path(&dir, fp);
         let mut bytes = fs::read(&path).unwrap();
         bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
         fs::write(&path, &bytes).unwrap();
-        assert!(load_component(&dir, fp, SolverKind::default(), &ham).is_none());
+        assert!(load_component(&dir, fp, &ham).is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_3_files_are_a_cache_miss() {
+        // Version 3 stored successive-shortest-path components (no basis)
+        // under the same file name. Loading one would serve an SSP flow as
+        // a simplex result: disk reloads would stop matching cold solves
+        // bit for bit, and the entry would carry no warm-start basis.
+        let dir = temp_dir("version-3");
+        let ham = ham();
+        let fp = hamiltonian_fingerprint(&ham);
+        let (matrix, basis) = gate_cancellation_matrix_with_basis(&ham).unwrap();
+        save_component(&dir, fp, &ham, &matrix, &basis).unwrap();
+        let path = component_path(&dir, fp);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        assert!(load_component(&dir, fp, &ham).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -474,35 +423,31 @@ mod tests {
         let dir = temp_dir("corrupt-basis");
         let ham = ham();
         let fp = hamiltonian_fingerprint(&ham);
-        let (matrix, basis) =
-            gate_cancellation_matrix_with_basis(&ham, SolverKind::NetworkSimplex).unwrap();
-        let basis = basis.unwrap();
-        save_component(
-            &dir,
-            fp,
-            SolverKind::NetworkSimplex,
-            &ham,
-            &matrix,
-            Some(&basis),
-        )
-        .unwrap();
-        let path = component_path_for(&dir, fp, SolverKind::NetworkSimplex);
+        let (matrix, basis) = gate_cancellation_matrix_with_basis(&ham).unwrap();
+        save_component(&dir, fp, &ham, &matrix, &basis).unwrap();
+        let path = component_path(&dir, fp);
         let good = fs::read(&path).unwrap();
+        let section = good.len() - basis_section_len(&basis);
+        let num_nodes_at = section + 8;
+        assert_eq!(
+            good[num_nodes_at..num_nodes_at + 8],
+            (basis.num_nodes() as u64).to_le_bytes(),
+            "section offset arithmetic"
+        );
 
-        // An invalid basis flag must be rejected outright…
-        let total = basis.num_real_arcs() + basis.num_nodes();
-        let flag_pos = good.len() - (8 * 3 + total + 8 * total) - 1;
-        assert_eq!(good[flag_pos], 1, "flag offset arithmetic");
-        let mut bad_flag = good.clone();
-        bad_flag[flag_pos] = 9;
-        fs::write(&path, &bad_flag).unwrap();
-        assert!(load_component(&dir, fp, SolverKind::NetworkSimplex, &ham).is_none());
+        // A node count that disagrees with the section length must be
+        // rejected outright…
+        let mut bad_count = good.clone();
+        bad_count[num_nodes_at..num_nodes_at + 8]
+            .copy_from_slice(&(basis.num_nodes() as u64 + 1).to_le_bytes());
+        fs::write(&path, &bad_count).unwrap();
+        assert!(load_component(&dir, fp, &ham).is_none());
 
         // …and so must an invalid arc-state byte inside the section.
         let mut bad_state = good.clone();
-        bad_state[flag_pos + 1 + 8 * 3] = 0xff;
+        bad_state[section + 8 * 3] = 0xff;
         fs::write(&path, &bad_state).unwrap();
-        assert!(load_component(&dir, fp, SolverKind::NetworkSimplex, &ham).is_none());
+        assert!(load_component(&dir, fp, &ham).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 }

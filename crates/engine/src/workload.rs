@@ -51,10 +51,9 @@ use std::time::{Duration, Instant};
 
 use marqsim_core::experiment::{SweepConfig, SweepResult};
 use marqsim_core::perturb::{
-    perturbed_matrix_sample_warm_with, perturbed_matrix_sample_with,
-    perturbed_matrix_sample_with_basis, PerturbationConfig,
+    perturbed_matrix_sample_warm, perturbed_matrix_sample_with_basis, PerturbationConfig,
 };
-use marqsim_core::{HttGraph, SolverKind, TransitionStrategy};
+use marqsim_core::{HttGraph, TransitionStrategy};
 use marqsim_markov::combine::combine;
 use marqsim_markov::TransitionMatrix;
 use marqsim_obs::{lockcheck, trace};
@@ -242,9 +241,6 @@ pub struct SubmitOptions {
     pub max_in_flight: Option<usize>,
     /// Progress-event coalescing.
     pub progress_every: ProgressCadence,
-    /// Min-cost-flow backend for this job's flow solves; `None` uses the
-    /// engine default ([`Engine::flow_solver`]).
-    pub flow_solver: Option<SolverKind>,
 }
 
 impl SubmitOptions {
@@ -269,12 +265,6 @@ impl SubmitOptions {
     /// Sets the progress cadence.
     pub fn with_progress_every(mut self, cadence: ProgressCadence) -> Self {
         self.progress_every = cadence;
-        self
-    }
-
-    /// Selects the min-cost-flow backend for this job.
-    pub fn with_flow_solver(mut self, solver: SolverKind) -> Self {
-        self.flow_solver = Some(solver);
         self
     }
 }
@@ -384,9 +374,6 @@ pub struct WorkloadCtx<'a> {
     cancel: CancelToken,
     sink: ProgressSink,
     priority: Priority,
-    /// The min-cost-flow backend of this job (submission override or the
-    /// engine default).
-    flow_solver: SolverKind,
     /// The workload's own unit count, the denominator of cumulative
     /// progress.
     total_units: usize,
@@ -404,7 +391,6 @@ impl<'a> WorkloadCtx<'a> {
         cancel: CancelToken,
         sink: ProgressSink,
         priority: Priority,
-        flow_solver: SolverKind,
         total_units: usize,
     ) -> Self {
         WorkloadCtx {
@@ -413,7 +399,6 @@ impl<'a> WorkloadCtx<'a> {
             cancel,
             sink,
             priority,
-            flow_solver,
             total_units,
             units_done: AtomicUsize::new(0),
             job_span: trace::current_span(),
@@ -454,12 +439,6 @@ impl<'a> WorkloadCtx<'a> {
     /// The scheduling priority this job was submitted at.
     pub fn priority(&self) -> Priority {
         self.priority
-    }
-
-    /// The min-cost-flow backend this job's flow solves use
-    /// ([`SubmitOptions::flow_solver`] override, or the engine default).
-    pub fn flow_solver(&self) -> SolverKind {
-        self.flow_solver
     }
 
     /// A clone of the job's cancellation token (for handing to helper
@@ -557,14 +536,11 @@ impl<'a> WorkloadCtx<'a> {
         ham: &Hamiltonian,
         strategy: &TransitionStrategy,
     ) -> Result<Arc<HttGraph>, EngineError> {
-        let _span = trace::Span::enter("resolve_graph")
-            .field("label", self.label.as_str())
-            .field("backend", self.flow_solver.as_str());
+        let _span = trace::Span::enter("resolve_graph").field("label", self.label.as_str());
         let built = if self.cache_enabled() {
-            self.cache()
-                .get_or_build_with(ham, strategy, self.flow_solver)
+            self.cache().get_or_build(ham, strategy)
         } else {
-            HttGraph::build_with_solver(ham, strategy, self.flow_solver).map(Arc::new)
+            HttGraph::build(ham, strategy).map(Arc::new)
         };
         built.map_err(|e| EngineError::compile(&self.label, e))
     }
@@ -595,7 +571,6 @@ impl<'a> WorkloadCtx<'a> {
                 })
             },
             self.priority,
-            self.flow_solver,
         );
         self.units_done.fetch_max(base + planned, Ordering::Relaxed);
         outcomes
@@ -688,15 +663,14 @@ impl Workload for SweepWorkload {
 /// [`random_perturbation_matrix`](marqsim_core::perturb::random_perturbation_matrix),
 /// which threads one RNG through all samples. The compiler's GC-RP
 /// strategy keeps the serial construction (warm-started from the `P_gc`
-/// basis where the backend supports it); this workload is the parallel
-/// path for standalone `P_rp` analysis.
+/// basis); this workload is the parallel path for standalone `P_rp`
+/// analysis.
 ///
-/// Under a basis-exporting backend the workload solves sample `0` cold,
-/// exports its spanning basis, and warm-starts samples `1..` from it in
-/// parallel — the perturbation only changes costs, never the topology, so
-/// one basis serves every sample. On a cache-enabled engine the solves
-/// are attributed to the cache stats as `flow_solves` (cold) and
-/// `warm_starts` (re-pivots): an `N`-sample job under the simplex backend
+/// The workload solves sample `0` cold, exports its spanning basis, and
+/// warm-starts samples `1..` from it in parallel — the perturbation only
+/// changes costs, never the topology, so one basis serves every sample.
+/// On a cache-enabled engine the solves are attributed to the cache stats
+/// as `flow_solves` (cold) and `warm_starts` (re-pivots): an `N`-sample job
 /// reports `flow_solves = 1, warm_starts = N - 1`.
 #[derive(Debug, Clone)]
 pub struct PerturbAverageWorkload {
@@ -751,34 +725,18 @@ impl Workload for PerturbAverageWorkload {
         let ham = Arc::new(self.hamiltonian.clone());
         let config = self.config;
         let label = self.label.clone();
-        // Resolve the `auto` policy on this workload's instance size up
-        // front: the warm-start basis, the per-sample solves, and the
-        // per-backend solve attribution below must all name one concrete
-        // backend.
-        let solver = ctx
-            .flow_solver()
-            .resolve_for_strings(self.hamiltonian.num_terms());
         // Sample 0 solves cold and exports its basis; the remaining samples
         // warm-start from it in parallel. The basis is a pure function of
-        // (ham, config, solver), so the averaged matrix stays deterministic
-        // for every thread count; backends without warm support export no
-        // basis and each sample solves cold exactly as before.
-        let (first, basis) =
-            perturbed_matrix_sample_with_basis(&self.hamiltonian, &config, 0, solver)
-                .map_err(|e| EngineError::compile(&self.label, e))?;
+        // (ham, config), so the averaged matrix stays deterministic for
+        // every thread count.
+        let (first, basis) = perturbed_matrix_sample_with_basis(&self.hamiltonian, &config, 0)
+            .map_err(|e| EngineError::compile(&self.label, e))?;
         ctx.report(1, self.config.samples);
-        let basis = basis.map(Arc::new);
-        let shared_basis = basis.clone();
+        let basis = Arc::new(basis);
         let rest = ctx
             .map((1..self.config.samples).collect(), move |_idx, sample| {
-                match shared_basis.as_deref() {
-                    Some(basis) => {
-                        perturbed_matrix_sample_warm_with(&ham, &config, sample, solver, basis)
-                    }
-                    None => perturbed_matrix_sample_with(&ham, &config, sample, solver)
-                        .map(|matrix| (matrix, false)),
-                }
-                .map_err(|e| EngineError::compile(&label, e))
+                perturbed_matrix_sample_warm(&ham, &config, sample, &basis)
+                    .map_err(|e| EngineError::compile(&label, e))
             })
             .into_iter()
             .collect::<Result<Vec<(TransitionMatrix, bool)>, EngineError>>()?;
@@ -786,7 +744,7 @@ impl Workload for PerturbAverageWorkload {
             let warm_starts = rest.iter().filter(|(_, warm)| *warm).count() as u64;
             let cold_solves = 1 + rest.len() - warm_starts as usize;
             for _ in 0..cold_solves {
-                ctx.cache().record_flow_solve(solver);
+                ctx.cache().record_flow_solve();
             }
             ctx.cache().record_warm_starts(warm_starts);
         }

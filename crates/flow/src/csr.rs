@@ -1,16 +1,9 @@
-//! The CSR residual network shared by the solver backends.
+//! The compressed-sparse-row residual network of the test-only
+//! successive-shortest-path oracle (`ssp`).
 //!
-//! Earlier revisions stored the residual graph as a `Vec<Vec<Arc>>` and
-//! cloned it per solve; this module flattens it into compressed sparse row
-//! arrays built directly from the immutable [`FlowNetwork`] edge list. Per
-//! solve that is one allocation pass instead of `n` nested clones, and the
-//! inner loops index flat arrays instead of chasing `Vec` headers.
-//!
-//! Arc order within a node is the **insertion order** of the legacy
-//! adjacency lists (forward and residual arcs interleaved exactly as
-//! `add_edge` used to push them), which preserves the
-//! successive-shortest-path backend's per-node tie-breaking order from the
-//! historical solver.
+//! Built directly from the immutable [`FlowNetwork`] edge list: for every
+//! edge a forward arc and its zero-capacity residual twin, grouped by tail
+//! node in insertion order.
 
 use crate::graph::FlowNetwork;
 
@@ -57,8 +50,7 @@ impl Csr {
         let mut cost = vec![0.0f64; num_arcs];
         let mut rev = vec![0usize; num_arcs];
         let mut edge_id = vec![NO_EDGE; num_arcs];
-        // Fill in add_edge order so each node's arcs keep the legacy
-        // adjacency-list interleaving.
+        // Fill in add_edge order, forward and residual arcs interleaved.
         let mut cursor = start[..n].to_vec();
         for (id, edge) in network.edges().iter().enumerate() {
             let fwd = cursor[edge.from];
@@ -104,7 +96,7 @@ mod tests {
     #[test]
     fn csr_preserves_per_node_insertion_order() {
         // 0→1, 1→2, 0→2: node 1 sees the residual arc of 0→1 before the
-        // forward arc of 1→2, exactly like the legacy adjacency lists.
+        // forward arc of 1→2.
         let mut net = FlowNetwork::new(3);
         net.add_edge(0, 1, 1.0, 1.0);
         net.add_edge(1, 2, 2.0, 3.0);

@@ -1,10 +1,8 @@
-//! Flow network representation and the pluggable solver API.
+//! Flow network representation and the telemetered solve entry points.
 //!
-//! The network itself is a plain edge list ([`FlowNetwork`]); solving is
-//! delegated to a [`MinCostFlowSolver`] implementation selected by
-//! [`SolverKind`]. Solvers build their own working state (a CSR residual
-//! network, a spanning-tree structure, …) per solve, so the network stays
-//! immutable and cheap to share.
+//! The network itself is a plain edge list ([`FlowNetwork`]); every solve
+//! runs the network simplex (`simplex`), which builds its own working state
+//! per solve, so the network stays immutable and cheap to share.
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -13,8 +11,6 @@ use std::time::Instant;
 use marqsim_obs::{metrics, trace};
 
 use crate::basis::SpanningBasis;
-use crate::simplex::NetworkSimplex;
-use crate::ssp::SuccessiveShortestPath;
 
 /// Numerical tolerance for treating residual capacities as zero.
 pub(crate) const CAP_EPS: f64 = 1e-12;
@@ -83,31 +79,21 @@ pub struct FlowResult {
     /// Flow on each edge, indexed by the [`FlowNetwork::add_edge`] return
     /// value.
     pub edge_flows: Vec<f64>,
-    /// [`MinCostFlowSolver::name`] of the backend that produced this result.
-    pub solver: &'static str,
-    /// Whether the successive-shortest-path backend skipped its Bellman–Ford
-    /// potential initialization because every edge cost was non-negative
-    /// (always `false` for other backends).
-    pub bellman_ford_skipped: bool,
     /// Whether this solve actually reused a saved [`SpanningBasis`]
     /// (`false` on cold solves and whenever a warm request fell back —
-    /// backend without warm support, fingerprint mismatch, corrupt basis).
+    /// fingerprint mismatch, corrupt basis).
     pub warm_start: bool,
-    /// Per-solve profiling filled in by the backend (pivot/iteration count
-    /// and phase timings); published to the metrics registry by
-    /// [`FlowNetwork::min_cost_flow_with`].
+    /// Per-solve profiling (pivot count and phase timings); published to
+    /// the metrics registry by every [`FlowNetwork`] solve.
     pub profile: SolveProfile,
 }
 
-/// Backend-reported profiling for one solve. Phase semantics per backend:
-/// for `ssp`, `init` is the CSR build plus the (possibly skipped)
-/// Bellman–Ford potential bootstrap and `pivots` counts augmenting-path
-/// iterations; for `network_simplex`, `init` is arc-list and initial-basis
-/// construction and `pivots` counts basis exchanges. `optimize` is the
-/// main solve loop for both.
+/// Profiling for one solve: `init` is arc-list and initial-basis
+/// construction (or the restore of a saved basis), `optimize` the pivot
+/// loop, and `pivots` counts basis exchanges.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SolveProfile {
-    /// Basis exchanges (simplex) or augmenting iterations (ssp).
+    /// Basis exchanges.
     pub pivots: u64,
     /// Seconds spent building per-solve working state.
     pub init_seconds: f64,
@@ -161,12 +147,6 @@ impl FlowNetwork {
         &self.edges
     }
 
-    /// Whether every edge cost is non-negative (the successive-shortest-path
-    /// fast path: Dijkstra needs no Bellman–Ford potential bootstrap).
-    pub fn costs_are_non_negative(&self) -> bool {
-        self.edges.iter().all(|e| e.cost >= 0.0)
-    }
-
     /// Adds a directed edge with the given capacity and cost and returns its
     /// edge id (used to look up the flow in [`FlowResult::edge_flows`]).
     ///
@@ -190,67 +170,52 @@ impl FlowNetwork {
     }
 
     /// Computes a minimum-cost flow of `amount` units from `source` to
-    /// `sink` with the default backend
-    /// ([`SolverKind::SuccessiveShortestPath`]).
+    /// `sink` with the network simplex.
+    ///
+    /// Every solve is telemetered: one `flow_solve` trace span, plus the
+    /// registry's solve counters and latency/phase histograms (see
+    /// `docs/observability.md`).
     ///
     /// # Errors
     ///
-    /// Returns [`FlowError::Infeasible`] if the network cannot carry the
-    /// requested amount, or [`FlowError::InvalidNode`] for bad endpoints.
+    /// Returns [`FlowError::Infeasible`] (carrying how much flow *could* be
+    /// routed) if the network cannot carry the requested amount, or
+    /// [`FlowError::InvalidNode`] for bad endpoints.
     pub fn min_cost_flow(
         &self,
         source: usize,
         sink: usize,
         amount: f64,
     ) -> Result<FlowResult, FlowError> {
-        self.min_cost_flow_with(SolverKind::default(), source, sink, amount)
-    }
-
-    /// Like [`min_cost_flow`](Self::min_cost_flow) with an explicit backend.
-    ///
-    /// Every solve through this entry point is telemetered: one
-    /// `flow_solve` trace span, plus per-backend registry instruments
-    /// (solve counters, latency/phase histograms, pivot and
-    /// Bellman–Ford-skip counters — see `docs/observability.md`).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`min_cost_flow`](Self::min_cost_flow).
-    pub fn min_cost_flow_with(
-        &self,
-        solver: SolverKind,
-        source: usize,
-        sink: usize,
-        amount: f64,
-    ) -> Result<FlowResult, FlowError> {
-        self.solve_telemetered(solver, source, sink, amount, None)
+        self.solve_telemetered(source, sink, amount, None)
             .map(|(result, _)| result)
     }
 
-    /// Like [`min_cost_flow_with`](Self::min_cost_flow_with), additionally
-    /// returning the solver's optimal [`SpanningBasis`] when the backend
-    /// supports warm starts (`None` for `ssp`). Telemetered identically.
+    /// Like [`min_cost_flow`](Self::min_cost_flow), additionally returning
+    /// the optimal [`SpanningBasis`]. A trivial solve (zero amount or
+    /// `source == sink`) exports an inert basis that only an identical
+    /// trivial instance matches.
+    /// The basis can seed [`min_cost_flow_warm`](Self::min_cost_flow_warm)
+    /// on later same-topology instances.
     ///
     /// # Errors
     ///
     /// Same contract as [`min_cost_flow`](Self::min_cost_flow).
     pub fn min_cost_flow_with_basis(
         &self,
-        solver: SolverKind,
         source: usize,
         sink: usize,
         amount: f64,
-    ) -> Result<(FlowResult, Option<SpanningBasis>), FlowError> {
-        self.solve_telemetered(solver, source, sink, amount, None)
+    ) -> Result<(FlowResult, SpanningBasis), FlowError> {
+        self.solve_telemetered(source, sink, amount, None)
     }
 
-    /// Warm-start re-solve from a saved basis (see
-    /// [`MinCostFlowSolver::solve_warm`]): a matching basis is re-priced
-    /// under this network's costs and re-pivoted to optimality; a
-    /// mismatched basis or a backend without warm support degrades to a
-    /// cold solve. On an actual warm start the solve additionally bumps
-    /// `marqsim_flow_warm_starts_total` and records the re-pivot time in
-    /// `marqsim_flow_repivot_seconds`.
+    /// Warm-start re-solve from a saved basis: a matching basis is
+    /// re-priced under this network's costs and re-pivoted to optimality;
+    /// a basis whose topology fingerprint does not match is never applied
+    /// and the solve runs cold. On an actual warm start the solve
+    /// additionally bumps `marqsim_flow_warm_starts_total` and records the
+    /// re-pivot time in `marqsim_flow_repivot_seconds`.
     ///
     /// # Errors
     ///
@@ -258,52 +223,39 @@ impl FlowNetwork {
     /// infeasibility reports identically warm or cold.
     pub fn min_cost_flow_warm(
         &self,
-        solver: SolverKind,
         source: usize,
         sink: usize,
         amount: f64,
         basis: &SpanningBasis,
-    ) -> Result<(FlowResult, Option<SpanningBasis>), FlowError> {
-        self.solve_telemetered(solver, source, sink, amount, Some(basis))
+    ) -> Result<(FlowResult, SpanningBasis), FlowError> {
+        self.solve_telemetered(source, sink, amount, Some(basis))
     }
 
     fn solve_telemetered(
         &self,
-        solver: SolverKind,
         source: usize,
         sink: usize,
         amount: f64,
         warm: Option<&SpanningBasis>,
-    ) -> Result<(FlowResult, Option<SpanningBasis>), FlowError> {
-        // Resolve the `auto` policy once, up front: the trace span, the
-        // per-backend instruments, and the result's `solver` field all name
-        // the concrete backend that actually ran.
-        let solver = solver.resolve_for_nodes(self.num_nodes);
+    ) -> Result<(FlowResult, SpanningBasis), FlowError> {
         // The span's `warm` field reports whether a usable (matching)
         // basis was offered; `FlowResult::warm_start` is the ground truth
         // for whether it was reused.
         let warm_requested = warm.is_some_and(|b| b.matches(self, source, sink, amount));
         let span = trace::Span::enter("flow_solve")
-            .field("backend", solver.as_str())
             .field("nodes", self.num_nodes)
             .field("edges", self.edges.len())
             .field("warm", warm_requested);
         let started = Instant::now();
-        let backend = solver.solver();
-        let result = match warm {
-            Some(basis) => backend.solve_warm(self, source, sink, amount, basis),
-            None => backend.solve_with_basis(self, source, sink, amount),
-        };
-        let elapsed = started.elapsed().as_secs_f64();
-        let instruments = backend_metrics(solver);
-        instruments.solve_seconds.record(elapsed);
+        let result = crate::simplex::solve(self, source, sink, amount, warm);
+        let instruments = flow_metrics();
+        instruments
+            .solve_seconds
+            .record(started.elapsed().as_secs_f64());
         match &result {
             Ok((flow, _)) => {
                 instruments.solves.inc();
                 instruments.pivots.add(flow.profile.pivots);
-                if flow.bellman_ford_skipped {
-                    instruments.bf_skips.inc();
-                }
                 if flow.warm_start {
                     instruments.warm_starts.inc();
                     instruments
@@ -321,7 +273,7 @@ impl FlowNetwork {
         result
     }
 
-    /// Shared endpoint validation for every backend.
+    /// Shared endpoint validation (the simplex and the test oracle).
     pub(crate) fn validate_endpoints(&self, source: usize, sink: usize) -> Result<(), FlowError> {
         let n = self.num_nodes;
         if source >= n || sink >= n {
@@ -334,435 +286,77 @@ impl FlowNetwork {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The solver API
-// ---------------------------------------------------------------------------
-
-/// A min-cost-flow backend. Implementations are stateless (per-solve working
-/// state is local), so one `&'static` instance serves every thread.
-pub trait MinCostFlowSolver: Send + Sync {
-    /// Stable backend name — the spelling used by `MARQSIM_FLOW_SOLVER`,
-    /// the serve wire protocol, and bench/stat lines.
-    fn name(&self) -> &'static str;
-
-    /// Computes a minimum-cost flow of `amount` units from `source` to
-    /// `sink`.
-    ///
-    /// On networks without negative-cost cycles every backend returns the
-    /// same optimal cost. With such a cycle present, backends legitimately
-    /// differ (see the [crate docs](crate)): SSP solves the pure s→t
-    /// problem while the simplex also cancels the cycle.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::Infeasible`] (carrying how much flow *could* be
-    /// routed) if the network cannot carry the requested amount, or
-    /// [`FlowError::InvalidNode`] for out-of-range endpoints — the same
-    /// classification for every backend.
-    fn solve(
-        &self,
-        network: &FlowNetwork,
-        source: usize,
-        sink: usize,
-        amount: f64,
-    ) -> Result<FlowResult, FlowError>;
-
-    /// Like [`solve`](Self::solve), additionally returning the solver's
-    /// optimal basis when the backend supports warm starts (`None`
-    /// otherwise — the default implementation). The basis can seed
-    /// [`solve_warm`](Self::solve_warm) on later same-topology instances.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`solve`](Self::solve).
-    fn solve_with_basis(
-        &self,
-        network: &FlowNetwork,
-        source: usize,
-        sink: usize,
-        amount: f64,
-    ) -> Result<(FlowResult, Option<SpanningBasis>), FlowError> {
-        self.solve(network, source, sink, amount)
-            .map(|result| (result, None))
-    }
-
-    /// Re-solves from a saved basis: re-prices the basis under this
-    /// network's costs and re-pivots to optimality instead of starting
-    /// from scratch. The default implementation ignores the basis and
-    /// solves cold (the `ssp` fallback), so every backend accepts a warm
-    /// request; [`FlowResult::warm_start`] reports whether the basis was
-    /// actually reused. A basis whose topology fingerprint does not match
-    /// the instance is never applied.
-    ///
-    /// # Errors
-    ///
-    /// Identical classification to [`solve`](Self::solve) — in particular
-    /// an infeasible instance reports the same
-    /// [`FlowError::Infeasible`] whether solved warm or cold.
-    fn solve_warm(
-        &self,
-        network: &FlowNetwork,
-        source: usize,
-        sink: usize,
-        amount: f64,
-        basis: &SpanningBasis,
-    ) -> Result<(FlowResult, Option<SpanningBasis>), FlowError> {
-        let _ = basis;
-        self.solve_with_basis(network, source, sink, amount)
-    }
-}
-
-/// The registered backends, selectable end to end (engine `CacheConfig`,
-/// `SubmitOptions`, the serve wire protocol, `MARQSIM_FLOW_SOLVER`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SolverKind {
-    /// Successive shortest paths with Johnson potentials (Dijkstra inner
-    /// loop). The default; preserves the historical solver's per-node
-    /// arc-order tie-breaking (see `ssp` module docs for the one
-    /// observable fast-path caveat on degenerate instances).
-    #[default]
-    SuccessiveShortestPath,
-    /// Primal network simplex over a spanning-tree structure with a
-    /// block-search pivot rule.
-    NetworkSimplex,
-    /// Per-instance backend selection from the measured crossover
-    /// (`BENCH.md`): `ssp` for small instances (≤ [`Self::AUTO_SSP_MAX_STRINGS`]
-    /// Hamiltonian strings, where absolute solve cost is negligible and the
-    /// historical default's tie-breaking is preserved), `network_simplex`
-    /// above it (decisively faster at 500+ strings: 0.79 s vs 2.03 s cold).
-    /// `Auto` always resolves to one of the concrete backends before any
-    /// solve, metric, or cache attribution — it never appears in
-    /// [`Self::ALL`] or on a `FlowResult`.
-    Auto,
-}
-
-static SSP: SuccessiveShortestPath = SuccessiveShortestPath;
-static SIMPLEX: NetworkSimplex = NetworkSimplex;
-static AUTO: AutoSolver = AutoSolver;
-
-/// [`MinCostFlowSolver`] adapter for [`SolverKind::Auto`]: delegates each
-/// solve to the backend [`SolverKind::resolve_for_nodes`] picks for the
-/// network at hand, so `SolverKind::solver()` stays total. The returned
-/// [`FlowResult::solver`] names the *resolved* backend, never `"auto"`.
-struct AutoSolver;
-
-impl AutoSolver {
-    fn resolved(network: &FlowNetwork) -> &'static dyn MinCostFlowSolver {
-        SolverKind::Auto
-            .resolve_for_nodes(network.num_nodes())
-            .solver()
-    }
-}
-
-impl MinCostFlowSolver for AutoSolver {
-    fn name(&self) -> &'static str {
-        "auto"
-    }
-
-    fn solve(
-        &self,
-        network: &FlowNetwork,
-        source: usize,
-        sink: usize,
-        amount: f64,
-    ) -> Result<FlowResult, FlowError> {
-        Self::resolved(network).solve(network, source, sink, amount)
-    }
-
-    fn solve_with_basis(
-        &self,
-        network: &FlowNetwork,
-        source: usize,
-        sink: usize,
-        amount: f64,
-    ) -> Result<(FlowResult, Option<SpanningBasis>), FlowError> {
-        Self::resolved(network).solve_with_basis(network, source, sink, amount)
-    }
-
-    fn solve_warm(
-        &self,
-        network: &FlowNetwork,
-        source: usize,
-        sink: usize,
-        amount: f64,
-        basis: &SpanningBasis,
-    ) -> Result<(FlowResult, Option<SpanningBasis>), FlowError> {
-        Self::resolved(network).solve_warm(network, source, sink, amount, basis)
-    }
-}
-
-/// Cached global-registry handles for one backend — registered once, so
-/// the per-solve record path is atomics only.
-struct BackendMetrics {
+/// Cached global-registry handles for the flow instruments — registered
+/// once, so the per-solve record path is atomics only.
+struct FlowMetrics {
     solves: Arc<metrics::Counter>,
     solve_errors: Arc<metrics::Counter>,
     solve_seconds: Arc<metrics::Histogram>,
     pivots: Arc<metrics::Counter>,
-    bf_skips: Arc<metrics::Counter>,
     warm_starts: Arc<metrics::Counter>,
     repivot_seconds: Arc<metrics::Histogram>,
     init_seconds: Arc<metrics::Histogram>,
     optimize_seconds: Arc<metrics::Histogram>,
 }
 
-fn backend_metrics(kind: SolverKind) -> &'static BackendMetrics {
-    static METRICS: OnceLock<Vec<BackendMetrics>> = OnceLock::new();
-    let all = METRICS.get_or_init(|| {
+fn flow_metrics() -> &'static FlowMetrics {
+    static METRICS: OnceLock<FlowMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
         let registry = metrics::global();
-        SolverKind::ALL
-            .iter()
-            .map(|kind| {
-                let backend: &[(&str, &str)] = &[("backend", kind.as_str())];
-                BackendMetrics {
-                    solves: registry.counter_with("marqsim_flow_solves_total", backend),
-                    solve_errors: registry.counter_with("marqsim_flow_solve_errors_total", backend),
-                    solve_seconds: registry.histogram_with("marqsim_flow_solve_seconds", backend),
-                    pivots: registry.counter_with("marqsim_flow_pivots_total", backend),
-                    bf_skips: registry.counter_with("marqsim_flow_bf_skips_total", backend),
-                    warm_starts: registry.counter_with("marqsim_flow_warm_starts_total", backend),
-                    repivot_seconds: registry
-                        .histogram_with("marqsim_flow_repivot_seconds", backend),
-                    init_seconds: registry.histogram_with(
-                        "marqsim_flow_phase_seconds",
-                        &[("backend", kind.as_str()), ("phase", "init")],
-                    ),
-                    optimize_seconds: registry.histogram_with(
-                        "marqsim_flow_phase_seconds",
-                        &[("backend", kind.as_str()), ("phase", "optimize")],
-                    ),
-                }
-            })
-            .collect()
-    });
-    let index = SolverKind::ALL
-        .iter()
-        .position(|&k| k == kind)
-        .expect("every SolverKind appears in ALL");
-    &all[index]
-}
-
-impl SolverKind {
-    /// Every concrete backend, default first. `Auto` is deliberately absent:
-    /// it is a selection *policy*, and everything indexed per backend
-    /// (registry instruments, cache-key attribution, bench tables) only
-    /// deals in resolved kinds. Use [`Self::SELECTABLE`] for the spellings a
-    /// user may request.
-    pub const ALL: [SolverKind; 2] = [
-        SolverKind::SuccessiveShortestPath,
-        SolverKind::NetworkSimplex,
-    ];
-
-    /// Everything a user may select end to end (`MARQSIM_FLOW_SOLVER`,
-    /// `SubmitOptions::flow_solver`, the serve wire protocol): the concrete
-    /// backends plus the `auto` policy.
-    pub const SELECTABLE: [SolverKind; 3] = [
-        SolverKind::SuccessiveShortestPath,
-        SolverKind::NetworkSimplex,
-        SolverKind::Auto,
-    ];
-
-    /// Largest instance (in Hamiltonian strings) `Auto` still hands to
-    /// `ssp`; anything larger resolves to `network_simplex`. Sits between
-    /// the 100-string and 500-string rows of the `BENCH.md` backend table.
-    pub const AUTO_SSP_MAX_STRINGS: usize = 100;
-
-    /// The stable name ([`MinCostFlowSolver::name`] of the backend).
-    pub const fn as_str(self) -> &'static str {
-        match self {
-            SolverKind::SuccessiveShortestPath => "ssp",
-            SolverKind::NetworkSimplex => "network_simplex",
-            SolverKind::Auto => "auto",
+        FlowMetrics {
+            solves: registry.counter("marqsim_flow_solves_total"),
+            solve_errors: registry.counter("marqsim_flow_solve_errors_total"),
+            solve_seconds: registry.histogram("marqsim_flow_solve_seconds"),
+            pivots: registry.counter("marqsim_flow_pivots_total"),
+            warm_starts: registry.counter("marqsim_flow_warm_starts_total"),
+            repivot_seconds: registry.histogram("marqsim_flow_repivot_seconds"),
+            init_seconds: registry
+                .histogram_with("marqsim_flow_phase_seconds", &[("phase", "init")]),
+            optimize_seconds: registry
+                .histogram_with("marqsim_flow_phase_seconds", &[("phase", "optimize")]),
         }
-    }
-
-    /// Parses a backend name (the `as_str` spellings plus common aliases).
-    pub fn parse(spelling: &str) -> Option<SolverKind> {
-        match spelling.trim().to_ascii_lowercase().as_str() {
-            "ssp" | "successive_shortest_path" | "successive-shortest-path" => {
-                Some(SolverKind::SuccessiveShortestPath)
-            }
-            "network_simplex" | "network-simplex" | "simplex" => Some(SolverKind::NetworkSimplex),
-            "auto" => Some(SolverKind::Auto),
-            _ => None,
-        }
-    }
-
-    /// Resolves the `Auto` policy for an instance of `strings` Hamiltonian
-    /// terms; concrete kinds return themselves. The crossover is the
-    /// measured one from `BENCH.md`: small instances keep the historical
-    /// `ssp` default (negligible absolute cost, bit-compatible
-    /// tie-breaking), larger ones get the decisively faster simplex.
-    pub const fn resolve_for_strings(self, strings: usize) -> SolverKind {
-        match self {
-            SolverKind::Auto => {
-                if strings <= Self::AUTO_SSP_MAX_STRINGS {
-                    SolverKind::SuccessiveShortestPath
-                } else {
-                    SolverKind::NetworkSimplex
-                }
-            }
-            concrete => concrete,
-        }
-    }
-
-    /// [`Self::resolve_for_strings`] via the node count of the bipartite
-    /// transition network (`nodes = 2·strings + 2`: one in-layer and one
-    /// out-layer node per Hamiltonian string plus source and sink).
-    pub const fn resolve_for_nodes(self, num_nodes: usize) -> SolverKind {
-        self.resolve_for_strings(num_nodes.saturating_sub(2) / 2)
-    }
-
-    /// The backend implementation. Total over every kind: `Auto` returns an
-    /// adapter that resolves per network, though the telemetered solve
-    /// entry points resolve *before* reaching it so instruments and spans
-    /// always name a concrete backend.
-    pub fn solver(self) -> &'static dyn MinCostFlowSolver {
-        match self {
-            SolverKind::SuccessiveShortestPath => &SSP,
-            SolverKind::NetworkSimplex => &SIMPLEX,
-            SolverKind::Auto => &AUTO,
-        }
-    }
-}
-
-impl fmt::Display for SolverKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for SolverKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        SolverKind::parse(s).ok_or_else(|| {
-            format!(
-                "unknown flow solver '{s}' (registered backends: {})",
-                SolverKind::SELECTABLE.map(SolverKind::as_str).join(", ")
-            )
-        })
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn both() -> [SolverKind; 2] {
-        SolverKind::ALL
-    }
+    type Solve = fn(&FlowNetwork, usize, usize, f64) -> Result<FlowResult, FlowError>;
 
-    #[test]
-    fn solver_kind_round_trips_names() {
-        for kind in both() {
-            assert_eq!(SolverKind::parse(kind.as_str()), Some(kind));
-            assert_eq!(kind.solver().name(), kind.as_str());
-            assert_eq!(kind.to_string(), kind.as_str());
-        }
-        assert_eq!(
-            SolverKind::parse("simplex"),
-            Some(SolverKind::NetworkSimplex)
-        );
-        assert_eq!(SolverKind::parse("nope"), None);
-        assert!("nope".parse::<SolverKind>().unwrap_err().contains("ssp"));
-        assert_eq!(SolverKind::default(), SolverKind::SuccessiveShortestPath);
-    }
-
-    #[test]
-    fn auto_resolves_by_instance_size() {
-        // The policy: ssp up to the crossover, simplex above it.
-        assert_eq!(
-            SolverKind::Auto.resolve_for_strings(1),
-            SolverKind::SuccessiveShortestPath
-        );
-        assert_eq!(
-            SolverKind::Auto.resolve_for_strings(SolverKind::AUTO_SSP_MAX_STRINGS),
-            SolverKind::SuccessiveShortestPath
-        );
-        assert_eq!(
-            SolverKind::Auto.resolve_for_strings(SolverKind::AUTO_SSP_MAX_STRINGS + 1),
-            SolverKind::NetworkSimplex
-        );
-        // Node form: the bipartite transition network has 2n + 2 nodes.
-        assert_eq!(
-            SolverKind::Auto.resolve_for_nodes(2 * SolverKind::AUTO_SSP_MAX_STRINGS + 2),
-            SolverKind::SuccessiveShortestPath
-        );
-        assert_eq!(
-            SolverKind::Auto.resolve_for_nodes(2 * (SolverKind::AUTO_SSP_MAX_STRINGS + 1) + 2),
-            SolverKind::NetworkSimplex
-        );
-        // Concrete kinds are fixed points of resolution.
-        for kind in SolverKind::ALL {
-            assert_eq!(kind.resolve_for_strings(1_000_000), kind);
-            assert_eq!(kind.resolve_for_nodes(0), kind);
-        }
-        // Spellings: parseable and selectable, but not a registered backend.
-        assert_eq!(SolverKind::parse("auto"), Some(SolverKind::Auto));
-        assert_eq!(SolverKind::Auto.as_str(), "auto");
-        assert!(!SolverKind::ALL.contains(&SolverKind::Auto));
-        assert!(SolverKind::SELECTABLE.contains(&SolverKind::Auto));
-        assert!("nope".parse::<SolverKind>().unwrap_err().contains("auto"));
-        // `solver()` is total, and a solve through the auto policy reports
-        // the *resolved* backend, never "auto".
-        assert_eq!(SolverKind::Auto.solver().name(), "auto");
-        let mut net = FlowNetwork::new(2);
-        net.add_edge(0, 1, 1.0, 1.0);
-        let r = net.min_cost_flow_with(SolverKind::Auto, 0, 1, 1.0).unwrap();
-        assert_eq!(r.solver, "ssp");
-        assert!((r.cost - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn auto_solves_match_the_resolved_backend_exactly() {
-        // Same seed-free deterministic instance solved via Auto and via the
-        // backend Auto resolves to: identical results, bit for bit.
-        let mut net = FlowNetwork::new(6);
-        for &(u, v, c, w) in &[
-            (0usize, 1usize, 2.0, 4.0),
-            (0, 2, 2.0, 1.0),
-            (1, 2, 1.0, 1.0),
-            (1, 3, 1.5, 3.0),
-            (2, 3, 1.0, 6.0),
-            (2, 4, 2.0, 2.0),
-            (3, 5, 2.0, 1.0),
-            (4, 3, 1.0, 0.5),
-            (4, 5, 1.0, 7.0),
-        ] {
-            net.add_edge(u, v, c, w);
-        }
-        let resolved = SolverKind::Auto.resolve_for_nodes(net.num_nodes());
-        let auto = net.min_cost_flow_with(SolverKind::Auto, 0, 5, 2.5).unwrap();
-        let direct = net.min_cost_flow_with(resolved, 0, 5, 2.5).unwrap();
-        assert_eq!(auto.solver, direct.solver);
-        assert_eq!(auto.cost.to_bits(), direct.cost.to_bits());
-        assert_eq!(auto.edge_flows.len(), direct.edge_flows.len());
-        for (a, d) in auto.edge_flows.iter().zip(direct.edge_flows.iter()) {
-            assert_eq!(a.to_bits(), d.to_bits());
-        }
+    /// The production solve and the successive-shortest-path oracle: every
+    /// contract below must hold for both.
+    fn backends() -> [(&'static str, Solve); 2] {
+        [
+            ("network_simplex", |net, s, t, amount| {
+                net.min_cost_flow(s, t, amount)
+            }),
+            ("ssp oracle", crate::ssp::solve),
+        ]
     }
 
     #[test]
     fn single_edge_network() {
-        for kind in both() {
+        let _solving = crate::solving();
+        for (kind, solve) in backends() {
             let mut net = FlowNetwork::new(2);
             let e = net.add_edge(0, 1, 2.0, 3.0);
-            let r = net.min_cost_flow_with(kind, 0, 1, 1.5).unwrap();
+            let r = solve(&net, 0, 1, 1.5).unwrap();
             assert!((r.cost - 4.5).abs() < 1e-9, "{kind}");
             assert!((r.edge_flows[e] - 1.5).abs() < 1e-9, "{kind}");
-            assert_eq!(r.solver, kind.as_str());
         }
     }
 
     #[test]
     fn prefers_the_cheaper_route() {
-        for kind in both() {
+        let _solving = crate::solving();
+        for (kind, solve) in backends() {
             let mut net = FlowNetwork::new(4);
             let cheap_a = net.add_edge(0, 1, 1.0, 1.0);
             let cheap_b = net.add_edge(1, 3, 1.0, 1.0);
             let pricey_a = net.add_edge(0, 2, 1.0, 5.0);
             let pricey_b = net.add_edge(2, 3, 1.0, 5.0);
-            let r = net.min_cost_flow_with(kind, 0, 3, 1.0).unwrap();
+            let r = solve(&net, 0, 3, 1.0).unwrap();
             assert!((r.cost - 2.0).abs() < 1e-9, "{kind}");
             assert!((r.edge_flows[cheap_a] - 1.0).abs() < 1e-9, "{kind}");
             assert!((r.edge_flows[cheap_b] - 1.0).abs() < 1e-9, "{kind}");
@@ -773,23 +367,25 @@ mod tests {
 
     #[test]
     fn spills_over_to_the_expensive_route_when_needed() {
-        for kind in both() {
+        let _solving = crate::solving();
+        for (kind, solve) in backends() {
             let mut net = FlowNetwork::new(4);
             net.add_edge(0, 1, 1.0, 1.0);
             net.add_edge(1, 3, 1.0, 1.0);
             net.add_edge(0, 2, 1.0, 5.0);
             net.add_edge(2, 3, 1.0, 5.0);
-            let r = net.min_cost_flow_with(kind, 0, 3, 2.0).unwrap();
+            let r = solve(&net, 0, 3, 2.0).unwrap();
             assert!((r.cost - 12.0).abs() < 1e-9, "{kind}");
         }
     }
 
     #[test]
     fn infeasible_demand_is_reported_identically_by_every_backend() {
-        for kind in both() {
+        let _solving = crate::solving();
+        for (kind, solve) in backends() {
             let mut net = FlowNetwork::new(2);
             net.add_edge(0, 1, 1.0, 1.0);
-            let err = net.min_cost_flow_with(kind, 0, 1, 2.0).unwrap_err();
+            let err = solve(&net, 0, 1, 2.0).unwrap_err();
             match err {
                 FlowError::Infeasible { routed, requested } => {
                     assert!((routed - 1.0).abs() < 1e-9, "{kind}: routed {routed}");
@@ -802,10 +398,11 @@ mod tests {
 
     #[test]
     fn invalid_node_is_reported_identically_by_every_backend() {
-        for kind in both() {
+        let _solving = crate::solving();
+        for (kind, solve) in backends() {
             let net = FlowNetwork::new(2);
             assert_eq!(
-                net.min_cost_flow_with(kind, 0, 5, 1.0).unwrap_err(),
+                solve(&net, 0, 5, 1.0).unwrap_err(),
                 FlowError::InvalidNode {
                     node: 5,
                     num_nodes: 2
@@ -817,7 +414,8 @@ mod tests {
 
     #[test]
     fn flow_conservation_holds_at_interior_nodes() {
-        for kind in both() {
+        let _solving = crate::solving();
+        for (kind, solve) in backends() {
             // Diamond with an extra middle edge; route 1.5 units.
             let mut net = FlowNetwork::new(5);
             let edges = [
@@ -832,7 +430,7 @@ mod tests {
                 .iter()
                 .map(|&(u, v, c, w)| net.add_edge(u, v, c, w))
                 .collect();
-            let r = net.min_cost_flow_with(kind, 0, 4, 1.5).unwrap();
+            let r = solve(&net, 0, 4, 1.5).unwrap();
             // Net flow into each interior node equals net flow out.
             for node in 1..=3 {
                 let mut balance = 0.0;
@@ -859,7 +457,8 @@ mod tests {
 
     #[test]
     fn residual_rerouting_finds_the_global_optimum() {
-        for kind in both() {
+        let _solving = crate::solving();
+        for (kind, solve) in backends() {
             // Classic example where the greedy path must later be partially
             // undone through residual arcs to reach the optimum.
             let mut net = FlowNetwork::new(4);
@@ -868,7 +467,7 @@ mod tests {
             net.add_edge(1, 2, 1.0, -8.0);
             net.add_edge(1, 3, 1.0, 10.0);
             net.add_edge(2, 3, 1.0, 1.0);
-            let r = net.min_cost_flow_with(kind, 0, 3, 2.0).unwrap();
+            let r = solve(&net, 0, 3, 2.0).unwrap();
             assert!((r.cost - 22.0).abs() < 1e-9, "{kind}: cost {}", r.cost);
             assert!((r.amount - 2.0).abs() < 1e-12, "{kind}");
         }
@@ -876,12 +475,13 @@ mod tests {
 
     #[test]
     fn fractional_capacities_route_exactly() {
-        for kind in both() {
+        let _solving = crate::solving();
+        for (kind, solve) in backends() {
             let mut net = FlowNetwork::new(3);
             let a = net.add_edge(0, 1, 0.3, 1.0);
             let b = net.add_edge(0, 1, 0.7, 2.0);
             let c = net.add_edge(1, 2, 1.0, 0.0);
-            let r = net.min_cost_flow_with(kind, 0, 2, 1.0).unwrap();
+            let r = solve(&net, 0, 2, 1.0).unwrap();
             assert!((r.edge_flows[a] - 0.3).abs() < 1e-9, "{kind}");
             assert!((r.edge_flows[b] - 0.7).abs() < 1e-9, "{kind}");
             assert!((r.edge_flows[c] - 1.0).abs() < 1e-9, "{kind}");
@@ -891,79 +491,52 @@ mod tests {
 
     #[test]
     fn zero_amount_flow_costs_nothing() {
-        for kind in both() {
+        let _solving = crate::solving();
+        for (kind, solve) in backends() {
             let mut net = FlowNetwork::new(2);
             net.add_edge(0, 1, 1.0, 7.0);
-            let r = net.min_cost_flow_with(kind, 0, 1, 0.0).unwrap();
+            let r = solve(&net, 0, 1, 0.0).unwrap();
             assert_eq!(r.cost, 0.0, "{kind}");
             assert!(r.edge_flows.iter().all(|&f| f == 0.0), "{kind}");
         }
     }
 
     #[test]
-    fn ssp_records_the_bellman_ford_skip() {
-        // Non-negative costs: the default backend skips the Bellman–Ford
-        // bootstrap and says so; a negative cost forces the full init.
-        let mut net = FlowNetwork::new(3);
-        net.add_edge(0, 1, 1.0, 1.0);
-        net.add_edge(1, 2, 1.0, 0.0);
-        let r = net.min_cost_flow(0, 2, 1.0).unwrap();
-        assert!(r.bellman_ford_skipped);
-
-        let mut net = FlowNetwork::new(3);
-        net.add_edge(0, 1, 1.0, -1.0);
-        net.add_edge(1, 2, 1.0, 2.0);
-        let r = net.min_cost_flow(0, 2, 1.0).unwrap();
-        assert!(!r.bellman_ford_skipped);
-        assert!((r.cost - 1.0).abs() < 1e-9);
-
-        // The simplex backend never reports a skip.
-        let mut net = FlowNetwork::new(2);
-        net.add_edge(0, 1, 1.0, 1.0);
-        let r = net
-            .min_cost_flow_with(SolverKind::NetworkSimplex, 0, 1, 1.0)
-            .unwrap();
-        assert!(!r.bellman_ford_skipped);
-    }
-
-    #[test]
     fn solves_fill_profiles_and_registry_instruments() {
+        // Exclusive: no other unit test solves while the deltas are read.
+        let _measuring = crate::measuring();
         let registry = metrics::global();
-        for kind in both() {
-            let backend: &[(&str, &str)] = &[("backend", kind.as_str())];
-            let solves = registry.counter_with("marqsim_flow_solves_total", backend);
-            let pivots = registry.counter_with("marqsim_flow_pivots_total", backend);
-            let seconds = registry.histogram_with("marqsim_flow_solve_seconds", backend);
-            let (solves_before, pivots_before, count_before) =
-                (solves.get(), pivots.get(), seconds.count());
+        let solves = registry.counter("marqsim_flow_solves_total");
+        let pivots = registry.counter("marqsim_flow_pivots_total");
+        let seconds = registry.histogram("marqsim_flow_solve_seconds");
+        let errors = registry.counter("marqsim_flow_solve_errors_total");
+        let (solves_before, pivots_before, count_before, errors_before) =
+            (solves.get(), pivots.get(), seconds.count(), errors.get());
 
-            let mut net = FlowNetwork::new(3);
-            net.add_edge(0, 1, 2.0, 1.0);
-            net.add_edge(1, 2, 2.0, 1.0);
-            let r = net.min_cost_flow_with(kind, 0, 2, 1.0).unwrap();
-            assert!(r.profile.pivots >= 1, "{kind}: at least one iteration");
-            assert!(r.profile.init_seconds >= 0.0, "{kind}");
-            assert!(r.profile.optimize_seconds >= 0.0, "{kind}");
-
-            assert_eq!(solves.get(), solves_before + 1, "{kind}");
-            assert_eq!(pivots.get(), pivots_before + r.profile.pivots, "{kind}");
-            assert_eq!(seconds.count(), count_before + 1, "{kind}");
-        }
+        let mut net = FlowNetwork::new(3);
+        net.add_edge(0, 1, 2.0, 1.0);
+        net.add_edge(1, 2, 2.0, 1.0);
+        let r = net.min_cost_flow(0, 2, 1.0).unwrap();
+        assert!(r.profile.pivots >= 1, "at least one pivot");
+        assert!(r.profile.init_seconds >= 0.0);
+        assert!(r.profile.optimize_seconds >= 0.0);
+        assert_eq!(solves.get(), solves_before + 1);
+        assert_eq!(pivots.get(), pivots_before + r.profile.pivots);
+        assert_eq!(seconds.count(), count_before + 1);
+        assert_eq!(errors.get(), errors_before);
 
         // Errors land in the error counter, not the solve counter.
-        let errors =
-            registry.counter_with("marqsim_flow_solve_errors_total", &[("backend", "ssp")]);
-        let errors_before = errors.get();
-        let mut net = FlowNetwork::new(2);
-        net.add_edge(0, 1, 1.0, 1.0);
-        let _ = net.min_cost_flow(0, 1, 5.0).unwrap_err();
+        let _ = net.min_cost_flow(0, 2, 5.0).unwrap_err();
         assert_eq!(errors.get(), errors_before + 1);
+        assert_eq!(solves.get(), solves_before + 1);
+        assert_eq!(seconds.count(), count_before + 2);
     }
 
     #[test]
     fn backends_agree_on_cost_for_a_dense_network() {
-        // A denser network with parallel routes: both backends must land on
-        // the same optimal cost (the cross-backend headline guarantee).
+        let _solving = crate::solving();
+        // A denser network with parallel routes: the simplex must land on
+        // the oracle's optimal cost.
         let mut net = FlowNetwork::new(6);
         let arcs = [
             (0usize, 1usize, 2.0, 4.0),
@@ -979,12 +552,8 @@ mod tests {
         for &(u, v, c, w) in &arcs {
             net.add_edge(u, v, c, w);
         }
-        let a = net
-            .min_cost_flow_with(SolverKind::SuccessiveShortestPath, 0, 5, 2.5)
-            .unwrap();
-        let b = net
-            .min_cost_flow_with(SolverKind::NetworkSimplex, 0, 5, 2.5)
-            .unwrap();
+        let a = crate::ssp::solve(&net, 0, 5, 2.5).unwrap();
+        let b = net.min_cost_flow(0, 5, 2.5).unwrap();
         assert!(
             (a.cost - b.cost).abs() < 1e-9,
             "ssp {} vs simplex {}",

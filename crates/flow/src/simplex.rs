@@ -51,7 +51,7 @@
 use std::time::Instant;
 
 use crate::basis::{topology_fingerprint, BasisArcState as ArcState, SpanningBasis};
-use crate::graph::{FlowError, FlowNetwork, FlowResult, MinCostFlowSolver, SolveProfile, CAP_EPS};
+use crate::graph::{FlowError, FlowNetwork, FlowResult, SolveProfile, CAP_EPS};
 
 /// Reduced-cost violation threshold for pricing: an arc enters only if its
 /// violation exceeds this, so float noise cannot drive endless pivots.
@@ -71,9 +71,18 @@ const INFEASIBLE_EPS: f64 = 1e-9;
 /// pricing rule falls back to Bland's rule.
 const STALL_FACTOR: usize = 4;
 
-/// The primal network-simplex solver (see the [module docs](self)).
-#[derive(Debug, Default)]
+/// The min-cost-flow backend every solve runs: primal network simplex (see
+/// the [module docs](self)). A one-value type, so a configuration banner
+/// can name the backend without anything selecting or branching on it.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct NetworkSimplex;
+
+impl NetworkSimplex {
+    /// The backend's stable name.
+    pub const fn as_str(self) -> &'static str {
+        "network_simplex"
+    }
+}
 
 #[derive(Debug, Clone)]
 struct Arc {
@@ -102,300 +111,267 @@ struct Tree {
     adjacency: Vec<Vec<usize>>,
 }
 
-impl MinCostFlowSolver for NetworkSimplex {
-    fn name(&self) -> &'static str {
-        "network_simplex"
-    }
-
-    fn solve(
-        &self,
-        network: &FlowNetwork,
-        source: usize,
-        sink: usize,
-        amount: f64,
-    ) -> Result<FlowResult, FlowError> {
-        self.run(network, source, sink, amount, None)
-            .map(|(result, _)| result)
-    }
-
-    fn solve_with_basis(
-        &self,
-        network: &FlowNetwork,
-        source: usize,
-        sink: usize,
-        amount: f64,
-    ) -> Result<(FlowResult, Option<SpanningBasis>), FlowError> {
-        self.run(network, source, sink, amount, None)
-    }
-
-    fn solve_warm(
-        &self,
-        network: &FlowNetwork,
-        source: usize,
-        sink: usize,
-        amount: f64,
-        basis: &SpanningBasis,
-    ) -> Result<(FlowResult, Option<SpanningBasis>), FlowError> {
-        self.run(network, source, sink, amount, Some(basis))
-    }
-}
-
-impl NetworkSimplex {
-    /// The shared cold/warm solve. `warm` is a basis to restore; if it does
-    /// not match the instance or fails validation the solve silently starts
-    /// cold, so a stale or corrupt basis can cost time but never
-    /// correctness.
-    fn run(
-        &self,
-        network: &FlowNetwork,
-        source: usize,
-        sink: usize,
-        amount: f64,
-        warm: Option<&SpanningBasis>,
-    ) -> Result<(FlowResult, Option<SpanningBasis>), FlowError> {
-        network.validate_endpoints(source, sink)?;
-        let num_real = network.num_edges();
-        if amount <= CAP_EPS || source == sink {
-            return Ok((
-                FlowResult {
-                    amount,
-                    cost: 0.0,
-                    edge_flows: vec![0.0; num_real],
-                    solver: self.name(),
-                    bellman_ford_skipped: false,
-                    warm_start: false,
-                    profile: SolveProfile::default(),
-                },
-                None,
-            ));
-        }
-
-        let init_started = Instant::now();
-        let n = network.num_nodes();
-        let root = n;
-
-        // Big-M cost for the artificial arcs: any simple path of real arcs
-        // is cheaper, so the optimum drives artificial flow to its minimum
-        // (zero when the demand is routable, the unroutable remainder
-        // otherwise). Rounded up to a power of two so M itself is exactly
-        // representable and adds no rounding error of its own to the
-        // potentials it dominates.
-        let max_abs_cost = network
-            .edges()
-            .iter()
-            .map(|e| e.cost.abs())
-            .fold(0.0f64, f64::max);
-        let big_m = f64::powi(2.0, (1.0 + (n as f64) * max_abs_cost).log2().ceil() as i32);
-
-        // Real arcs first, then one artificial arc per node. The source's
-        // excess flows source→root, the sink's root→sink; every other node
-        // is balanced and its artificial arc just completes the initial
-        // basis with zero flow.
-        let mut arcs: Vec<Arc> = network
-            .edges()
-            .iter()
-            .map(|e| Arc {
-                from: e.from,
-                to: e.to,
-                upper: e.capacity,
-                cost: e.cost,
-                flow: 0.0,
-                state: ArcState::Lower,
-            })
-            .collect();
-        for v in 0..n {
-            let excess = if v == source { amount } else { 0.0 };
-            let deficit = if v == sink { amount } else { 0.0 };
-            let (from, to, flow) = if excess >= deficit {
-                (v, root, excess)
-            } else {
-                (root, v, deficit)
-            };
-            arcs.push(Arc {
-                from,
-                to,
-                upper: f64::INFINITY,
-                cost: big_m,
-                flow,
-                state: ArcState::Tree,
-            });
-        }
-        let total_arcs = arcs.len();
-
-        // Try to restore the saved basis. Flows and states are
-        // cost-independent, so a matching basis is primal-feasible as-is;
-        // only the potentials (recomputed below) change under new costs.
-        let mut warm_used = false;
-        if let Some(basis) = warm {
-            if basis.matches(network, source, sink, amount)
-                && restore(&mut arcs, basis, source, sink, amount)
-            {
-                warm_used = true;
-            }
-        }
-
-        let mut tree = Tree {
-            parent: vec![usize::MAX; n + 1],
-            parent_arc: vec![usize::MAX; n + 1],
-            depth: vec![0; n + 1],
-            potential: vec![0.0; n + 1],
-            adjacency: vec![Vec::new(); n + 1],
-        };
-        for (arc_id, arc) in arcs.iter().enumerate() {
-            if arc.state == ArcState::Tree {
-                tree.adjacency[arc.from].push(arc_id);
-                tree.adjacency[arc.to].push(arc_id);
-            }
-        }
-        if recompute_tree(&mut tree, &arcs, root) != n + 1 {
-            // The restored basis did not span every node (only possible
-            // with a corrupt basis — the cold basis always spans): rebuild
-            // the artificial starting basis and solve cold.
-            debug_assert!(warm_used, "the cold initial basis always spans");
-            warm_used = false;
-            for (offset, arc) in arcs[num_real..].iter_mut().enumerate() {
-                let v = offset;
-                arc.flow = if v == source || v == sink {
-                    amount
-                } else {
-                    0.0
-                };
-                arc.state = ArcState::Tree;
-            }
-            for arc in &mut arcs[..num_real] {
-                arc.flow = 0.0;
-                arc.state = ArcState::Lower;
-            }
-            for adjacency in &mut tree.adjacency {
-                adjacency.clear();
-            }
-            for v in 0..n {
-                let arc_id = num_real + v;
-                tree.adjacency[v].push(arc_id);
-                tree.adjacency[root].push(arc_id);
-            }
-            let spanned = recompute_tree(&mut tree, &arcs, root);
-            debug_assert_eq!(spanned, n + 1);
-        }
-
-        // Block-search pricing with the Bland's-rule watchdog.
-        let block = ((total_arcs as f64).sqrt().ceil() as usize)
-            .max(16)
-            .min(total_arcs);
-        let num_blocks = total_arcs.div_ceil(block);
-        let mut cursor = 0usize;
-        let mut clean_blocks = 0usize;
-        // Hard termination backstop far above any plausible pivot count;
-        // exceeding it is reported as `PivotLimit`, never a silent break.
-        let pivot_cap = 1000 + 64 * total_arcs;
-        let stall_cap = STALL_FACTOR * total_arcs;
-        let mut stalled = 0usize;
-        let mut bland = false;
-        let mut pivots = 0usize;
-        let optimize_started = Instant::now();
-        let init_seconds = optimize_started
-            .saturating_duration_since(init_started)
-            .as_secs_f64();
-
-        loop {
-            let entering = if bland {
-                // Bland's rule: the first eligible arc by id. Slower per
-                // scan, provably cycle-free ordering.
-                (0..total_arcs).find(|&arc_id| {
-                    let arc = &arcs[arc_id];
-                    violation(arc, &tree) > price_tolerance(arc, &tree)
-                })
-            } else {
-                let mut best = None;
-                let mut best_violation = 0.0f64;
-                for offset in 0..block {
-                    let arc_id = (cursor + offset) % total_arcs;
-                    let arc = &arcs[arc_id];
-                    let violation = violation(arc, &tree);
-                    if violation > price_tolerance(arc, &tree) && violation > best_violation {
-                        best_violation = violation;
-                        best = Some(arc_id);
-                    }
-                }
-                cursor = (cursor + block) % total_arcs;
-                best
-            };
-            match entering {
-                None => {
-                    if bland {
-                        // A full Bland scan found nothing eligible: optimal.
-                        break;
-                    }
-                    clean_blocks += 1;
-                    if clean_blocks >= num_blocks {
-                        break;
-                    }
-                }
-                Some(entering) => {
-                    clean_blocks = 0;
-                    let delta = pivot(&mut tree, &mut arcs, root, entering);
-                    pivots += 1;
-                    if pivots > pivot_cap {
-                        return Err(FlowError::PivotLimit {
-                            pivots: pivots as u64,
-                        });
-                    }
-                    if delta > 0.0 {
-                        stalled = 0;
-                    } else {
-                        stalled += 1;
-                        if stalled > stall_cap {
-                            bland = true;
-                        }
-                    }
-                }
-            }
-        }
-
-        // Any flow left on an artificial arc is demand the real network
-        // could not carry — the identical classification on the cold and
-        // warm paths.
-        let leftover = arcs[num_real..]
-            .iter()
-            .map(|a| a.flow)
-            .fold(0.0f64, f64::max);
-        if leftover > INFEASIBLE_EPS {
-            return Err(FlowError::Infeasible {
-                routed: amount - leftover,
-                requested: amount,
-            });
-        }
-
-        let mut cost = 0.0;
-        let mut edge_flows = vec![0.0f64; num_real];
-        for (id, arc) in arcs[..num_real].iter().enumerate() {
-            edge_flows[id] = arc.flow;
-            cost += arc.flow * arc.cost;
-        }
-        let basis = SpanningBasis {
-            topology: topology_fingerprint(network, source, sink, amount),
-            num_nodes: n,
-            num_real_arcs: num_real,
-            states: arcs.iter().map(|a| a.state).collect(),
-            flows: arcs.iter().map(|a| a.flow).collect(),
-        };
-        Ok((
+/// The shared cold/warm solve. `warm` is a basis to restore; if it does
+/// not match the instance or fails validation the solve silently starts
+/// cold, so a stale or corrupt basis can cost time but never correctness.
+/// Returns the optimal basis alongside the flow. The trivial zero-amount
+/// or `source == sink` solve skips the simplex and exports the all-zero
+/// artificial star: every real arc at its lower bound, every artificial
+/// arc basic. Only an identical (hence equally trivial) instance matches
+/// it, so it is never restored.
+pub(crate) fn solve(
+    network: &FlowNetwork,
+    source: usize,
+    sink: usize,
+    amount: f64,
+    warm: Option<&SpanningBasis>,
+) -> Result<(FlowResult, SpanningBasis), FlowError> {
+    network.validate_endpoints(source, sink)?;
+    let num_real = network.num_edges();
+    let n = network.num_nodes();
+    if amount <= CAP_EPS || source == sink {
+        let mut states = vec![ArcState::Lower; num_real];
+        states.resize(num_real + n, ArcState::Tree);
+        return Ok((
             FlowResult {
                 amount,
-                cost,
-                edge_flows,
-                solver: self.name(),
-                bellman_ford_skipped: false,
-                warm_start: warm_used,
-                profile: SolveProfile {
-                    pivots: pivots as u64,
-                    init_seconds,
-                    optimize_seconds: optimize_started.elapsed().as_secs_f64(),
-                },
+                cost: 0.0,
+                edge_flows: vec![0.0; num_real],
+                warm_start: false,
+                profile: SolveProfile::default(),
             },
-            Some(basis),
-        ))
+            SpanningBasis {
+                topology: topology_fingerprint(network, source, sink, amount),
+                num_nodes: n,
+                num_real_arcs: num_real,
+                states,
+                flows: vec![0.0; num_real + n],
+            },
+        ));
     }
+
+    let init_started = Instant::now();
+    let root = n;
+
+    // Big-M cost for the artificial arcs: any simple path of real arcs
+    // is cheaper, so the optimum drives artificial flow to its minimum
+    // (zero when the demand is routable, the unroutable remainder
+    // otherwise). Rounded up to a power of two so M itself is exactly
+    // representable and adds no rounding error of its own to the
+    // potentials it dominates.
+    let max_abs_cost = network
+        .edges()
+        .iter()
+        .map(|e| e.cost.abs())
+        .fold(0.0f64, f64::max);
+    let big_m = f64::powi(2.0, (1.0 + (n as f64) * max_abs_cost).log2().ceil() as i32);
+
+    // Real arcs first, then one artificial arc per node. The source's
+    // excess flows source→root, the sink's root→sink; every other node
+    // is balanced and its artificial arc just completes the initial
+    // basis with zero flow.
+    let mut arcs: Vec<Arc> = network
+        .edges()
+        .iter()
+        .map(|e| Arc {
+            from: e.from,
+            to: e.to,
+            upper: e.capacity,
+            cost: e.cost,
+            flow: 0.0,
+            state: ArcState::Lower,
+        })
+        .collect();
+    for v in 0..n {
+        let excess = if v == source { amount } else { 0.0 };
+        let deficit = if v == sink { amount } else { 0.0 };
+        let (from, to, flow) = if excess >= deficit {
+            (v, root, excess)
+        } else {
+            (root, v, deficit)
+        };
+        arcs.push(Arc {
+            from,
+            to,
+            upper: f64::INFINITY,
+            cost: big_m,
+            flow,
+            state: ArcState::Tree,
+        });
+    }
+    let total_arcs = arcs.len();
+
+    // Try to restore the saved basis. Flows and states are
+    // cost-independent, so a matching basis is primal-feasible as-is;
+    // only the potentials (recomputed below) change under new costs.
+    let mut warm_used = false;
+    if let Some(basis) = warm {
+        if basis.matches(network, source, sink, amount)
+            && restore(&mut arcs, basis, source, sink, amount)
+        {
+            warm_used = true;
+        }
+    }
+
+    let mut tree = Tree {
+        parent: vec![usize::MAX; n + 1],
+        parent_arc: vec![usize::MAX; n + 1],
+        depth: vec![0; n + 1],
+        potential: vec![0.0; n + 1],
+        adjacency: vec![Vec::new(); n + 1],
+    };
+    for (arc_id, arc) in arcs.iter().enumerate() {
+        if arc.state == ArcState::Tree {
+            tree.adjacency[arc.from].push(arc_id);
+            tree.adjacency[arc.to].push(arc_id);
+        }
+    }
+    if recompute_tree(&mut tree, &arcs, root) != n + 1 {
+        // The restored basis did not span every node (only possible
+        // with a corrupt basis — the cold basis always spans): rebuild
+        // the artificial starting basis and solve cold.
+        debug_assert!(warm_used, "the cold initial basis always spans");
+        warm_used = false;
+        for (offset, arc) in arcs[num_real..].iter_mut().enumerate() {
+            let v = offset;
+            arc.flow = if v == source || v == sink {
+                amount
+            } else {
+                0.0
+            };
+            arc.state = ArcState::Tree;
+        }
+        for arc in &mut arcs[..num_real] {
+            arc.flow = 0.0;
+            arc.state = ArcState::Lower;
+        }
+        for adjacency in &mut tree.adjacency {
+            adjacency.clear();
+        }
+        for v in 0..n {
+            let arc_id = num_real + v;
+            tree.adjacency[v].push(arc_id);
+            tree.adjacency[root].push(arc_id);
+        }
+        let spanned = recompute_tree(&mut tree, &arcs, root);
+        debug_assert_eq!(spanned, n + 1);
+    }
+
+    // Block-search pricing with the Bland's-rule watchdog.
+    let block = ((total_arcs as f64).sqrt().ceil() as usize)
+        .max(16)
+        .min(total_arcs);
+    let num_blocks = total_arcs.div_ceil(block);
+    let mut cursor = 0usize;
+    let mut clean_blocks = 0usize;
+    // Hard termination backstop far above any plausible pivot count;
+    // exceeding it is reported as `PivotLimit`, never a silent break.
+    let pivot_cap = 1000 + 64 * total_arcs;
+    let stall_cap = STALL_FACTOR * total_arcs;
+    let mut stalled = 0usize;
+    let mut bland = false;
+    let mut pivots = 0usize;
+    let optimize_started = Instant::now();
+    let init_seconds = optimize_started
+        .saturating_duration_since(init_started)
+        .as_secs_f64();
+
+    loop {
+        let entering = if bland {
+            // Bland's rule: the first eligible arc by id. Slower per
+            // scan, provably cycle-free ordering.
+            (0..total_arcs).find(|&arc_id| {
+                let arc = &arcs[arc_id];
+                violation(arc, &tree) > price_tolerance(arc, &tree)
+            })
+        } else {
+            let mut best = None;
+            let mut best_violation = 0.0f64;
+            for offset in 0..block {
+                let arc_id = (cursor + offset) % total_arcs;
+                let arc = &arcs[arc_id];
+                let violation = violation(arc, &tree);
+                if violation > price_tolerance(arc, &tree) && violation > best_violation {
+                    best_violation = violation;
+                    best = Some(arc_id);
+                }
+            }
+            cursor = (cursor + block) % total_arcs;
+            best
+        };
+        match entering {
+            None => {
+                if bland {
+                    // A full Bland scan found nothing eligible: optimal.
+                    break;
+                }
+                clean_blocks += 1;
+                if clean_blocks >= num_blocks {
+                    break;
+                }
+            }
+            Some(entering) => {
+                clean_blocks = 0;
+                let delta = pivot(&mut tree, &mut arcs, root, entering);
+                pivots += 1;
+                if pivots > pivot_cap {
+                    return Err(FlowError::PivotLimit {
+                        pivots: pivots as u64,
+                    });
+                }
+                if delta > 0.0 {
+                    stalled = 0;
+                } else {
+                    stalled += 1;
+                    if stalled > stall_cap {
+                        bland = true;
+                    }
+                }
+            }
+        }
+    }
+
+    // Any flow left on an artificial arc is demand the real network
+    // could not carry — the identical classification on the cold and
+    // warm paths.
+    let leftover = arcs[num_real..]
+        .iter()
+        .map(|a| a.flow)
+        .fold(0.0f64, f64::max);
+    if leftover > INFEASIBLE_EPS {
+        return Err(FlowError::Infeasible {
+            routed: amount - leftover,
+            requested: amount,
+        });
+    }
+
+    let mut cost = 0.0;
+    let mut edge_flows = vec![0.0f64; num_real];
+    for (id, arc) in arcs[..num_real].iter().enumerate() {
+        edge_flows[id] = arc.flow;
+        cost += arc.flow * arc.cost;
+    }
+    let basis = SpanningBasis {
+        topology: topology_fingerprint(network, source, sink, amount),
+        num_nodes: n,
+        num_real_arcs: num_real,
+        states: arcs.iter().map(|a| a.state).collect(),
+        flows: arcs.iter().map(|a| a.flow).collect(),
+    };
+    Ok((
+        FlowResult {
+            amount,
+            cost,
+            edge_flows,
+            warm_start: warm_used,
+            profile: SolveProfile {
+                pivots: pivots as u64,
+                init_seconds,
+                optimize_seconds: optimize_started.elapsed().as_secs_f64(),
+            },
+        },
+        basis,
+    ))
 }
 
 /// Restores the saved per-arc states and flows onto a freshly built arc
@@ -656,12 +632,13 @@ fn pivot(tree: &mut Tree, arcs: &mut [Arc], root: usize, entering: usize) -> f64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::SolverKind;
+    use crate::ssp;
 
     #[test]
     fn simplex_matches_ssp_on_a_grid_of_random_instances() {
+        let _solving = crate::solving();
         // Deterministic xorshift-generated networks; optimal cost must agree
-        // with the default backend to 1e-9.
+        // with the successive-shortest-path oracle to 1e-9.
         let mut state = 0x9e37_79b9u64;
         let mut next = move || {
             state ^= state << 13;
@@ -684,9 +661,9 @@ mod tests {
                 }
             }
             let amount = 0.5 + (next() % 3) as f64 * 0.5;
-            let ssp = net.min_cost_flow_with(SolverKind::SuccessiveShortestPath, 0, n - 1, amount);
-            let ns = net.min_cost_flow_with(SolverKind::NetworkSimplex, 0, n - 1, amount);
-            match (ssp, ns) {
+            let oracle = ssp::solve(&net, 0, n - 1, amount);
+            let ns = net.min_cost_flow(0, n - 1, amount);
+            match (oracle, ns) {
                 (Ok(a), Ok(b)) => {
                     assert!(
                         (a.cost - b.cost).abs() < 1e-9,
@@ -715,12 +692,11 @@ mod tests {
 
     #[test]
     fn simplex_handles_saturating_parallel_arcs() {
+        let _solving = crate::solving();
         let mut net = FlowNetwork::new(2);
         let a = net.add_edge(0, 1, 1.0, 3.0);
         let b = net.add_edge(0, 1, 2.0, 1.0);
-        let r = net
-            .min_cost_flow_with(SolverKind::NetworkSimplex, 0, 1, 2.5)
-            .unwrap();
+        let r = net.min_cost_flow(0, 1, 2.5).unwrap();
         assert!((r.edge_flows[b] - 2.0).abs() < 1e-9, "cheap arc saturates");
         assert!((r.edge_flows[a] - 0.5).abs() < 1e-9);
         assert!((r.cost - (2.0 + 1.5)).abs() < 1e-9);
@@ -728,11 +704,10 @@ mod tests {
 
     #[test]
     fn simplex_totally_disconnected_sink_is_infeasible_with_zero_routed() {
+        let _solving = crate::solving();
         let mut net = FlowNetwork::new(3);
         net.add_edge(0, 1, 5.0, 1.0);
-        let err = net
-            .min_cost_flow_with(SolverKind::NetworkSimplex, 0, 2, 1.0)
-            .unwrap_err();
+        let err = net.min_cost_flow(0, 2, 1.0).unwrap_err();
         match err {
             FlowError::Infeasible { routed, requested } => {
                 assert!(routed.abs() < 1e-9);
@@ -744,11 +719,12 @@ mod tests {
 
     #[test]
     fn simplex_matches_ssp_under_adversarial_cost_spreads() {
+        let _solving = crate::solving();
         // Regression for the big-M precision bug: costs spanning nine
         // orders of magnitude put the artificial arcs' M (and thus the
         // transient potentials) far beyond the old absolute 1e-9 pricing
         // tolerance's useful range. The relative (scale-aware) tolerance
-        // must still land on the ssp cost to relative 1e-9.
+        // must still land on the oracle's cost to relative 1e-9.
         let mut state = 0x51ed_270bu64;
         let mut next = move || {
             state ^= state << 13;
@@ -774,9 +750,8 @@ mod tests {
                 let v = (next() % n as u64) as usize;
                 if u != v {
                     // Non-negative spreads only: a capacitated negative
-                    // cycle would put the instance outside the
-                    // cross-backend equivalence contract (ssp does not
-                    // cancel cycles).
+                    // cycle would put the instance outside the oracle's
+                    // contract (ssp does not cancel cycles).
                     let cost = match next() % 3 {
                         0 => (next() % 2_000_000_000) as f64,
                         1 => 1e-6 * (next() % 1000) as f64,
@@ -786,36 +761,33 @@ mod tests {
                 }
             }
             let amount = 0.5 + (next() % 4) as f64 * 0.5;
-            let ssp = net
-                .min_cost_flow_with(SolverKind::SuccessiveShortestPath, 0, n - 1, amount)
+            let oracle = ssp::solve(&net, 0, n - 1, amount)
                 .unwrap_or_else(|e| panic!("case {case}: ssp failed: {e}"));
             let ns = net
-                .min_cost_flow_with(SolverKind::NetworkSimplex, 0, n - 1, amount)
+                .min_cost_flow(0, n - 1, amount)
                 .unwrap_or_else(|e| panic!("case {case}: simplex failed: {e}"));
-            let scale = ssp.cost.abs().max(1.0);
+            let scale = oracle.cost.abs().max(1.0);
             assert!(
-                (ssp.cost - ns.cost).abs() <= 1e-9 * scale,
+                (oracle.cost - ns.cost).abs() <= 1e-9 * scale,
                 "case {case}: ssp {} vs simplex {} (relative {})",
-                ssp.cost,
+                oracle.cost,
                 ns.cost,
-                (ssp.cost - ns.cost).abs() / scale
+                (oracle.cost - ns.cost).abs() / scale
             );
         }
     }
 
     #[test]
     fn warm_start_from_a_matching_basis_reaches_the_same_optimum() {
+        let _solving = crate::solving();
         let mut net = FlowNetwork::new(4);
         net.add_edge(0, 1, 2.0, 1.0);
         net.add_edge(0, 2, 2.0, 2.0);
         net.add_edge(1, 3, 2.0, 3.0);
         net.add_edge(2, 3, 2.0, 1.0);
         net.add_edge(1, 2, 1.0, 0.5);
-        let (cold, basis) = net
-            .min_cost_flow_with_basis(SolverKind::NetworkSimplex, 0, 3, 2.0)
-            .unwrap();
+        let (cold, basis) = net.min_cost_flow_with_basis(0, 3, 2.0).unwrap();
         assert!(!cold.warm_start);
-        let basis = basis.expect("the simplex exports its basis");
 
         // Same topology, shifted costs: the warm solve must agree with a
         // fresh cold solve on the re-costed instance.
@@ -825,18 +797,11 @@ mod tests {
         recosted.add_edge(1, 3, 2.0, 1.0);
         recosted.add_edge(2, 3, 2.0, 5.0);
         recosted.add_edge(1, 2, 1.0, 2.0);
-        let (warm, warm_basis) = net
-            .min_cost_flow_warm(SolverKind::NetworkSimplex, 0, 3, 2.0, &basis)
-            .unwrap();
+        let (warm, _) = net.min_cost_flow_warm(0, 3, 2.0, &basis).unwrap();
         assert!(warm.warm_start, "matching basis must be reused");
-        assert!(warm_basis.is_some());
-        let (rewarm, _) = recosted
-            .min_cost_flow_warm(SolverKind::NetworkSimplex, 0, 3, 2.0, &basis)
-            .unwrap();
+        let (rewarm, _) = recosted.min_cost_flow_warm(0, 3, 2.0, &basis).unwrap();
         assert!(rewarm.warm_start);
-        let (recold, _) = recosted
-            .min_cost_flow_with_basis(SolverKind::NetworkSimplex, 0, 3, 2.0)
-            .unwrap();
+        let (recold, _) = recosted.min_cost_flow_with_basis(0, 3, 2.0).unwrap();
         assert!(
             (rewarm.cost - recold.cost).abs() < 1e-9,
             "warm {} vs cold {}",
@@ -847,34 +812,26 @@ mod tests {
 
     #[test]
     fn mismatched_or_corrupt_bases_fall_back_to_cold_solves() {
+        let _solving = crate::solving();
         let mut net = FlowNetwork::new(3);
         net.add_edge(0, 1, 2.0, 1.0);
         net.add_edge(1, 2, 2.0, 1.0);
-        let (_, basis) = net
-            .min_cost_flow_with_basis(SolverKind::NetworkSimplex, 0, 2, 1.0)
-            .unwrap();
-        let basis = basis.unwrap();
+        let (_, basis) = net.min_cost_flow_with_basis(0, 2, 1.0).unwrap();
 
         // Topology change: an extra edge invalidates the fingerprint.
         let mut grown = net.clone();
         grown.add_edge(0, 2, 1.0, 10.0);
-        let (r, _) = grown
-            .min_cost_flow_warm(SolverKind::NetworkSimplex, 0, 2, 1.0, &basis)
-            .unwrap();
+        let (r, _) = grown.min_cost_flow_warm(0, 2, 1.0, &basis).unwrap();
         assert!(!r.warm_start, "fingerprint mismatch must solve cold");
 
         // Amount change invalidates too.
-        let (r, _) = net
-            .min_cost_flow_warm(SolverKind::NetworkSimplex, 0, 2, 1.5, &basis)
-            .unwrap();
+        let (r, _) = net.min_cost_flow_warm(0, 2, 1.5, &basis).unwrap();
         assert!(!r.warm_start);
 
         // A corrupt basis (conservation violated) is rejected by restore.
         let mut corrupt = basis.clone();
         corrupt.flows[0] += 0.5;
-        let (r, _) = net
-            .min_cost_flow_warm(SolverKind::NetworkSimplex, 0, 2, 1.0, &corrupt)
-            .unwrap();
+        let (r, _) = net.min_cost_flow_warm(0, 2, 1.0, &corrupt).unwrap();
         assert!(!r.warm_start, "corrupt flows must solve cold");
         assert!((r.cost - 2.0).abs() < 1e-9);
 
@@ -889,21 +846,33 @@ mod tests {
         for state in no_tree.states.iter_mut().take(no_tree.num_nodes) {
             *state = ArcState::Tree;
         }
-        let (r, _) = net
-            .min_cost_flow_warm(SolverKind::NetworkSimplex, 0, 2, 1.0, &no_tree)
-            .unwrap();
+        let (r, _) = net.min_cost_flow_warm(0, 2, 1.0, &no_tree).unwrap();
         assert!((r.cost - 2.0).abs() < 1e-9, "still the right answer");
     }
 
     #[test]
+    fn trivial_solves_export_an_inert_basis() {
+        let _solving = crate::solving();
+        let mut net = FlowNetwork::new(3);
+        net.add_edge(0, 1, 2.0, 1.0);
+        net.add_edge(1, 2, 2.0, 1.0);
+        let (r, basis) = net.min_cost_flow_with_basis(0, 2, 0.0).unwrap();
+        assert_eq!(r.cost, 0.0);
+        assert!(basis.matches(&net, 0, 2, 0.0));
+        assert!(!basis.matches(&net, 0, 2, 1.0));
+        let (r, _) = net.min_cost_flow_warm(0, 2, 1.0, &basis).unwrap();
+        assert!(!r.warm_start, "a trivial basis never seeds a real solve");
+        assert!((r.cost - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
     fn warm_infeasible_classification_matches_cold() {
+        let _solving = crate::solving();
         // A saturating instance: capacity 1.0 but 2.0 requested.
         let mut net = FlowNetwork::new(3);
         net.add_edge(0, 1, 1.0, 1.0);
         net.add_edge(1, 2, 1.0, 1.0);
-        let cold_err = net
-            .min_cost_flow_with(SolverKind::NetworkSimplex, 0, 2, 2.0)
-            .unwrap_err();
+        let cold_err = net.min_cost_flow(0, 2, 2.0).unwrap_err();
 
         // Build a matching basis from the *feasible* 2.0-capacity variant?
         // No — the fingerprint covers capacities, so the only way to get a
@@ -912,12 +881,8 @@ mod tests {
         // the 2.0 request: the fingerprint (amount differs) rejects reuse
         // and the cold path classifies. Either way the error must be
         // identical to the cold solve.
-        let (_, basis) = net
-            .min_cost_flow_with_basis(SolverKind::NetworkSimplex, 0, 2, 1.0)
-            .unwrap();
-        let warm_err = net
-            .min_cost_flow_warm(SolverKind::NetworkSimplex, 0, 2, 2.0, &basis.unwrap())
-            .unwrap_err();
+        let (_, basis) = net.min_cost_flow_with_basis(0, 2, 1.0).unwrap();
+        let warm_err = net.min_cost_flow_warm(0, 2, 2.0, &basis).unwrap_err();
         assert_eq!(cold_err, warm_err);
         match warm_err {
             FlowError::Infeasible { routed, requested } => {
@@ -930,10 +895,11 @@ mod tests {
 
     #[test]
     fn degenerate_symmetric_instances_terminate_and_match_ssp() {
+        let _solving = crate::solving();
         // Anti-cycling property: fully symmetric bipartite-like instances
         // (every cost equal, every capacity equal — the tiny-ising shape)
         // maximize degenerate ties. The solve must terminate without
-        // tripping the pivot cap and agree with ssp.
+        // tripping the pivot cap and agree with the ssp oracle.
         quickprop::check(
             "degenerate symmetric instances terminate",
             quickprop::Config::default().with_cases(40),
@@ -957,9 +923,9 @@ mod tests {
                     net.add_edge(1 + side + i, t, cap, cost);
                 }
                 let amount = cap * side as f64;
-                let ns = net.min_cost_flow_with(SolverKind::NetworkSimplex, s, t, amount);
-                let ssp = net.min_cost_flow_with(SolverKind::SuccessiveShortestPath, s, t, amount);
-                match (ns, ssp) {
+                let ns = net.min_cost_flow(s, t, amount);
+                let oracle = ssp::solve(&net, s, t, amount);
+                match (ns, oracle) {
                     (Ok(a), Ok(b)) => {
                         let scale = b.cost.abs().max(1.0);
                         if (a.cost - b.cost).abs() <= 1e-9 * scale {

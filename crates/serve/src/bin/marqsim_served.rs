@@ -5,8 +5,8 @@
 //!
 //! * **node** (the default): builds one shared engine (worker count from
 //!   `MARQSIM_SERVE_THREADS`, falling back to `MARQSIM_THREADS`, then all
-//!   cores; cache/solver settings from the usual `MARQSIM_CACHE*` /
-//!   `MARQSIM_FLOW_SOLVER` variables) and runs jobs itself. Admission
+//!   cores; cache settings from the usual `MARQSIM_CACHE*` variables) and
+//!   runs jobs itself. Admission
 //!   bounds: `MARQSIM_SERVE_MAX_IN_FLIGHT` per connection,
 //!   `MARQSIM_MAX_ACTIVE_JOBS` engine-wide across all connections.
 //!   `MARQSIM_SERVE_IDLE_TIMEOUT_MS` (unset = never) reaps connections

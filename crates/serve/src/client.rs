@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use marqsim_core::experiment::SweepConfig;
 use marqsim_core::TransitionStrategy;
-use marqsim_engine::{CacheStats, SolverKind, SubmitOptions};
+use marqsim_engine::{CacheStats, SubmitOptions};
 use marqsim_net::{wait_readable, wait_writable, LineAssembler};
 use marqsim_pauli::Hamiltonian;
 
@@ -117,8 +117,6 @@ pub struct JobResult {
     pub outcome: Outcome,
     /// Cache-counter delta the server attributed to this job.
     pub cache_delta: CacheStats,
-    /// The min-cost-flow backend the job's solves used.
-    pub flow_solver: SolverKind,
 }
 
 /// The telemetry snapshot returned by [`Client::metrics`]: the server's
@@ -152,10 +150,6 @@ pub struct Client {
     threads: usize,
     /// Workload kinds the server advertised in `hello`.
     workloads: Vec<String>,
-    /// The server's default min-cost-flow backend from `hello`.
-    flow_solver: SolverKind,
-    /// Backends the server advertised in `hello`.
-    flow_solvers: Vec<String>,
     /// Whether the peer is a single node or a fleet router (from `hello`).
     role: Role,
     /// Fleet node names a router advertised in `hello` (empty for nodes).
@@ -201,8 +195,6 @@ impl Client {
             keepalives_outstanding: 0,
             threads: 0,
             workloads: Vec::new(),
-            flow_solver: SolverKind::default(),
-            flow_solvers: Vec::new(),
             role: Role::default(),
             nodes: Vec::new(),
         };
@@ -211,8 +203,6 @@ impl Client {
                 protocol,
                 threads,
                 workloads,
-                flow_solver,
-                flow_solvers,
                 role,
                 nodes,
                 auth,
@@ -225,8 +215,6 @@ impl Client {
                 }
                 client.threads = threads;
                 client.workloads = workloads;
-                client.flow_solver = flow_solver;
-                client.flow_solvers = flow_solvers;
                 client.role = role;
                 client.nodes = nodes;
                 auth
@@ -271,16 +259,6 @@ impl Client {
     /// The workload kinds the server advertised (from `hello`).
     pub fn workloads(&self) -> &[String] {
         &self.workloads
-    }
-
-    /// The server's default min-cost-flow backend (from `hello`).
-    pub fn flow_solver(&self) -> SolverKind {
-        self.flow_solver
-    }
-
-    /// The min-cost-flow backends the server advertised (from `hello`).
-    pub fn flow_solvers(&self) -> &[String] {
-        &self.flow_solvers
     }
 
     /// Whether the peer is a single node or a fleet router (from `hello`).
@@ -601,12 +579,10 @@ impl Client {
             Event::Done {
                 outcome,
                 cache_delta,
-                flow_solver,
                 ..
             } => Ok(JobResult {
                 outcome,
                 cache_delta,
-                flow_solver,
             }),
             Event::Failed { kind, message, .. } => Err(ClientError::JobFailed { kind, message }),
             other => Err(ClientError::Protocol(format!(

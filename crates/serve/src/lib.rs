@@ -61,10 +61,8 @@
 //!   request bytes for `N` milliseconds: their unfinished jobs are
 //!   cancelled and a structured `error` event precedes the close (unset =
 //!   never reap; in-process: [`Server::with_idle_timeout`]).
-//! * The engine cache/solver variables (`MARQSIM_CACHE`,
-//!   `MARQSIM_CACHE_CAP`, `MARQSIM_CACHE_DIR`, `MARQSIM_FLOW_SOLVER`)
-//!   apply unchanged; a submit's `options.flow_solver` selects the
-//!   min-cost-flow backend per job.
+//! * The engine cache variables (`MARQSIM_CACHE`, `MARQSIM_CACHE_CAP`,
+//!   `MARQSIM_CACHE_DIR`) apply unchanged.
 //!
 //! # Example
 //!
@@ -263,7 +261,9 @@ mod tests {
 
     #[test]
     fn perturb_average_jobs_round_trip_the_matrix() {
-        use marqsim_core::perturb::{perturbed_matrix_sample, PerturbationConfig};
+        use marqsim_core::perturb::{
+            perturbed_matrix_sample_warm, perturbed_matrix_sample_with_basis, PerturbationConfig,
+        };
         use marqsim_markov::combine::combine;
 
         let server = spawn_server(2);
@@ -282,8 +282,16 @@ mod tests {
             )
             .unwrap();
         let result = client.wait(job).unwrap();
-        let matrices: Vec<_> = (0..config.samples)
-            .map(|i| perturbed_matrix_sample(&small, &config, i).unwrap())
+        // The serial chain the workload averages: sample 0 solved cold,
+        // samples 1.. re-pivoted from its basis.
+        let (first, basis) = perturbed_matrix_sample_with_basis(&small, &config, 0).unwrap();
+        let matrices: Vec<_> = std::iter::once(first)
+            .chain((1..config.samples).map(|i| {
+                let (matrix, warm) =
+                    perturbed_matrix_sample_warm(&small, &config, i, &basis).unwrap();
+                assert!(warm, "sample {i} re-pivots the sample-0 basis");
+                matrix
+            }))
             .collect();
         let expected = combine(&matrices, &[0.25; 4]).unwrap();
         match result.outcome {
@@ -461,49 +469,37 @@ mod tests {
     }
 
     #[test]
-    fn flow_solver_selection_round_trips_over_the_wire() {
-        use marqsim_engine::SolverKind;
+    fn protocol_8_carries_no_backend_selection() {
+        // One min-cost-flow backend: hello, done, and stats name none.
         let server = spawn_server(2);
-        let mut client = Client::connect(server.addr()).unwrap();
-        // The hello handshake advertises the backends and the default
-        // (the engine-level default is the size-adaptive `auto`).
-        assert_eq!(client.flow_solver(), SolverKind::Auto);
-        assert_eq!(
-            client.flow_solvers(),
-            [
-                "ssp".to_string(),
-                "network_simplex".to_string(),
-                "auto".to_string()
-            ]
-        );
+        let raw = std::net::TcpStream::connect(server.addr()).unwrap();
+        let mut hello = String::new();
+        {
+            use std::io::{BufRead, BufReader};
+            BufReader::new(raw.try_clone().unwrap())
+                .read_line(&mut hello)
+                .unwrap();
+        }
+        assert!(hello.contains("\"protocol\":8"), "{hello}");
+        assert!(!hello.contains("flow_solver"), "{hello}");
+        drop(raw);
 
-        // A GC sweep under the non-default backend: accepted, solved by the
-        // simplex (per-backend attribution in the job's cache delta), and
-        // the done event echoes the backend.
+        let mut client = Client::connect(server.addr()).unwrap();
         let job = client
-            .submit_with_options(
-                "t/ns-sweep",
-                "sweep",
-                sweep_params(
-                    &ham().to_string(),
-                    &TransitionStrategy::marqsim_gc(),
-                    &SweepConfig::quick(0.5),
-                ),
-                SubmitOptions::new().with_flow_solver(SolverKind::NetworkSimplex),
+            .submit_sweep(
+                "t/gc-sweep",
+                &ham(),
+                &TransitionStrategy::marqsim_gc(),
+                &SweepConfig::quick(0.5),
             )
             .unwrap();
         let result = client.wait(job).unwrap();
-        assert_eq!(result.flow_solver, SolverKind::NetworkSimplex);
-        assert_eq!(result.cache_delta.flow_solves_simplex, 1);
-        assert_eq!(result.cache_delta.flow_solves_ssp, 0);
+        assert_eq!(result.cache_delta.flow_solves, 1);
         match result.outcome {
             Outcome::Sweep(sweep) => assert_eq!(sweep.points.len(), 6),
             other => panic!("unexpected outcome {other:?}"),
         }
-
-        // Stats report the engine's default backend.
         let stats = client.stats().unwrap();
-        assert_eq!(stats.flow_solver, SolverKind::Auto);
         assert_eq!(stats.max_active_jobs, 0, "no global bound configured");
         server.shutdown();
     }
@@ -513,7 +509,7 @@ mod tests {
         let server = spawn_server(2);
         let mut client = Client::connect(server.addr()).unwrap();
 
-        // A min-cost-flow workload so the backend histograms have samples.
+        // A min-cost-flow workload so the flow histograms have samples.
         let job = client
             .submit_sweep(
                 "t/metrics",
@@ -537,12 +533,12 @@ mod tests {
         );
 
         // The exposition carries every subsystem's instruments: cache,
-        // flow backends, pool, engine, and the serve layer itself.
+        // flow solver, pool, engine, and the serve layer itself.
         for needle in [
             "# TYPE marqsim_cache_hits_total counter",
             "marqsim_cache_misses_total",
             "marqsim_flow_solve_seconds_bucket",
-            "marqsim_flow_solves_total{backend=\"ssp\"}",
+            "\nmarqsim_flow_solves_total ",
             "marqsim_pool_queue_depth",
             "marqsim_pool_queue_wait_seconds_count",
             "marqsim_engine_jobs_total",
@@ -650,62 +646,6 @@ mod tests {
             )
             .unwrap();
         assert!(client.wait(job).is_ok());
-        server.shutdown();
-    }
-
-    #[test]
-    fn auto_flow_solver_resolves_per_instance_and_shares_the_cache() {
-        use marqsim_engine::SolverKind;
-        let server = spawn_server(2);
-        let mut client = Client::connect(server.addr()).unwrap();
-
-        // An auto GC sweep on a small Hamiltonian: the done event echoes
-        // the requested policy, while the cache delta attributes the solve
-        // to the backend it resolved to (ssp at 4 strings).
-        let params = sweep_params(
-            &ham().to_string(),
-            &TransitionStrategy::marqsim_gc(),
-            &SweepConfig::quick(0.5),
-        );
-        let job = client
-            .submit_with_options(
-                "t/auto-sweep",
-                "sweep",
-                params.clone(),
-                SubmitOptions::new().with_flow_solver(SolverKind::Auto),
-            )
-            .unwrap();
-        let auto_result = client.wait(job).unwrap();
-        assert_eq!(auto_result.flow_solver, SolverKind::Auto);
-        assert_eq!(auto_result.cache_delta.flow_solves_ssp, 1);
-        assert_eq!(auto_result.cache_delta.flow_solves_simplex, 0);
-
-        // The same sweep requested with the explicit resolved backend hits
-        // the cache entry the auto job built (flow_solves delta 0): auto
-        // and its resolution share one cache key.
-        let job = client
-            .submit_with_options(
-                "t/ssp-sweep",
-                "sweep",
-                params,
-                SubmitOptions::new().with_flow_solver(SolverKind::SuccessiveShortestPath),
-            )
-            .unwrap();
-        let ssp_result = client.wait(job).unwrap();
-        assert_eq!(ssp_result.cache_delta.flow_solves, 0);
-
-        // Parity: identical sweep results, point for point.
-        match (auto_result.outcome, ssp_result.outcome) {
-            (Outcome::Sweep(auto_sweep), Outcome::Sweep(ssp_sweep)) => {
-                assert_eq!(auto_sweep.points.len(), ssp_sweep.points.len());
-                for (a, s) in auto_sweep.points.iter().zip(ssp_sweep.points.iter()) {
-                    assert_eq!(a.epsilon.to_bits(), s.epsilon.to_bits());
-                    assert_eq!(a.seed, s.seed);
-                    assert_eq!(a.stats, s.stats);
-                }
-            }
-            other => panic!("unexpected outcomes {other:?}"),
-        }
         server.shutdown();
     }
 

@@ -28,22 +28,20 @@
 //! bound for this connection — tightens the server default, never raises
 //! it), `progress_units` / `progress_ms` (progress coalescing — at most
 //! one event per that many units / milliseconds; a lone `progress_ms`
-//! disables the unit axis entirely), and `flow_solver` (the min-cost-flow
-//! backend for this job's solves — one of the `hello` event's
-//! `flow_solvers`; unset uses the server default).
+//! disables the unit axis entirely).
 //!
 //! # Events (server → client)
 //!
 //! ```json
-//! {"event":"hello","protocol":7,"role":"node","nodes":[],"auth":false,"threads":4,"workloads":["benchmark_suite","compile","perturb_average","sweep"],"flow_solver":"auto","flow_solvers":["ssp","network_simplex","auto"]}
+//! {"event":"hello","protocol":8,"role":"node","nodes":[],"auth":false,"threads":4,"workloads":["benchmark_suite","compile","perturb_average","sweep"]}
 //! {"event":"auth_ok"}
 //! {"event":"submitted","job":1,"label":"sweep/h2"}
 //! {"event":"busy","label":"sweep/h2","in_flight":4,"limit":4}
 //! {"event":"progress","job":1,"completed":3,"total":6}
-//! {"event":"done","job":1,"outcome":{"kind":"sweep",...},"cache_delta":{...},"flow_solver":"ssp"}
+//! {"event":"done","job":1,"outcome":{"kind":"sweep",...},"cache_delta":{...}}
 //! {"event":"failed","job":1,"kind":"cancelled","message":"..."}
 //! {"event":"status","job":1,"known":true,"finished":false,"cancelled":false,"completed":3,"total":6}
-//! {"event":"stats","threads":4,"cache":{...},"active_jobs":2,"queue_depth":17,"in_flight":1,"flow_solver":"auto","max_active_jobs":0}
+//! {"event":"stats","threads":4,"cache":{...},"active_jobs":2,"queue_depth":17,"in_flight":1,"max_active_jobs":0}
 //! {"event":"draining","node":"127.0.0.1:7432","in_flight":2}
 //! {"event":"error","message":"..."}
 //! ```
@@ -66,7 +64,7 @@ use marqsim_core::perturb::PerturbationConfig;
 use marqsim_core::TransitionStrategy;
 use marqsim_engine::{
     BenchmarkSuiteResult, CacheStats, EngineError, PerturbAverageResult, Priority, ProgressCadence,
-    SolverKind, SubmitOptions, SuiteCaseResult,
+    SubmitOptions, SuiteCaseResult,
 };
 use marqsim_markov::TransitionMatrix;
 
@@ -97,12 +95,14 @@ use crate::wire::{Json, WireError};
 /// its routed jobs with `kind:"node_lost"`; the `drain` verb starts a
 /// planned removal (answered by `draining`); and a router's `stats`
 /// answer aggregates the fleet with a per-node breakdown under `nodes`.
+/// Version 8 removed min-cost-flow backend selection with the second
+/// backend: `options.flow_solver`, `hello.flow_solver`/`flow_solvers`, the
+/// `flow_solver` echo in `done` and `stats`, and the per-backend split of
+/// the cache's flow-solve counter are gone. Every solve runs the network
+/// simplex.
 ///
-/// Backend names are part of the typed surface (decoders reject unknown
-/// names), and clients enforce an exact version match at the handshake —
-/// registering a new `SolverKind` therefore bumps this version; see
-/// `docs/flow.md`.
-pub const PROTOCOL_VERSION: u64 = 7;
+/// Clients enforce an exact version match at the handshake.
+pub const PROTOCOL_VERSION: u64 = 8;
 
 /// What a server *is*, advertised in `hello`: a plain daemon running jobs
 /// itself, or a router forwarding them across a fleet.
@@ -205,8 +205,6 @@ pub struct ServerStats {
     /// In-flight jobs on *this* connection (what the per-connection
     /// admission bound compares against).
     pub in_flight: usize,
-    /// The engine's default min-cost-flow backend.
-    pub flow_solver: SolverKind,
     /// Engine-wide active-job admission bound across all connections
     /// (`MARQSIM_MAX_ACTIVE_JOBS`); `0` means unlimited.
     pub max_active_jobs: usize,
@@ -232,11 +230,6 @@ pub enum Event {
         threads: usize,
         /// Workload kinds this server accepts, sorted.
         workloads: Vec<String>,
-        /// The engine's default min-cost-flow backend.
-        flow_solver: SolverKind,
-        /// Every registered backend a submit's `options.flow_solver` may
-        /// name.
-        flow_solvers: Vec<String>,
     },
     /// The shared secret in `auth` matched; every verb is now accepted.
     AuthOk,
@@ -282,9 +275,6 @@ pub enum Event {
         /// between submission and completion; concurrent jobs' activity can
         /// bleed into each other's windows).
         cache_delta: CacheStats,
-        /// The min-cost-flow backend this job's solves used (the submit's
-        /// `options.flow_solver`, or the server default).
-        flow_solver: SolverKind,
         /// The fleet node that ran the job (router connections only).
         node: Option<String>,
     },
@@ -672,9 +662,6 @@ fn options_to_json(options: &SubmitOptions) -> Json {
     if let Some(interval) = options.progress_every.interval {
         fields.push(("progress_ms", (interval.as_millis() as u64).into()));
     }
-    if let Some(solver) = options.flow_solver {
-        fields.push(("flow_solver", solver.as_str().into()));
-    }
     Json::Obj(
         fields
             .into_iter()
@@ -713,23 +700,7 @@ fn options_from_json(json: Option<&Json>) -> Result<SubmitOptions, WireError> {
         // coalesce anything.
         (None, Some(interval)) => ProgressCadence::every_interval(interval),
     };
-    if let Some(solver) = json.get("flow_solver") {
-        let spelling = solver
-            .as_str()
-            .ok_or_else(|| WireError::shape("field 'flow_solver' must be a string"))?;
-        options.flow_solver = Some(parse_solver(spelling)?);
-    }
     Ok(options)
-}
-
-/// Parses a wire backend name with a diagnostic naming the valid spellings.
-fn parse_solver(spelling: &str) -> Result<SolverKind, WireError> {
-    SolverKind::parse(spelling).ok_or_else(|| {
-        WireError::shape(format!(
-            "unknown flow solver '{spelling}' (use {})",
-            SolverKind::SELECTABLE.map(SolverKind::as_str).join("/")
-        ))
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -917,8 +888,6 @@ fn cache_stats_to_json(stats: &CacheStats) -> Json {
         ("misses", stats.misses.into()),
         ("component_hits", stats.component_hits.into()),
         ("flow_solves", stats.flow_solves.into()),
-        ("flow_solves_ssp", stats.flow_solves_ssp.into()),
-        ("flow_solves_simplex", stats.flow_solves_simplex.into()),
         ("warm_starts", stats.warm_starts.into()),
         ("disk_hits", stats.disk_hits.into()),
         ("disk_writes", stats.disk_writes.into()),
@@ -935,8 +904,6 @@ fn cache_stats_from_json(json: &Json) -> Result<CacheStats, WireError> {
         misses: u64_field(json, "misses")?,
         component_hits: u64_field(json, "component_hits")?,
         flow_solves: u64_field(json, "flow_solves")?,
-        flow_solves_ssp: u64_field(json, "flow_solves_ssp")?,
-        flow_solves_simplex: u64_field(json, "flow_solves_simplex")?,
         warm_starts: u64_field(json, "warm_starts")?,
         disk_hits: u64_field(json, "disk_hits")?,
         disk_writes: u64_field(json, "disk_writes")?,
@@ -1101,7 +1068,6 @@ fn server_stats_body(stats: &ServerStats) -> Json {
         ("active_jobs", stats.active_jobs.into()),
         ("queue_depth", stats.queue_depth.into()),
         ("in_flight", stats.in_flight.into()),
-        ("flow_solver", stats.flow_solver.as_str().into()),
         ("max_active_jobs", stats.max_active_jobs.into()),
     ])
 }
@@ -1115,7 +1081,6 @@ fn server_stats_core(json: &Json) -> Result<ServerStats, WireError> {
         active_jobs: usize_field(json, "active_jobs")?,
         queue_depth: usize_field(json, "queue_depth")?,
         in_flight: usize_field(json, "in_flight")?,
-        flow_solver: parse_solver(&str_field(json, "flow_solver")?)?,
         max_active_jobs: usize_field(json, "max_active_jobs")?,
         per_node: Vec::new(),
     })
@@ -1136,8 +1101,6 @@ impl Event {
                 auth,
                 threads,
                 workloads,
-                flow_solver,
-                flow_solvers,
             } => Json::obj([
                 ("event", "hello".into()),
                 ("protocol", (*protocol).into()),
@@ -1151,11 +1114,6 @@ impl Event {
                 (
                     "workloads",
                     Json::Arr(workloads.iter().map(|k| k.as_str().into()).collect()),
-                ),
-                ("flow_solver", flow_solver.as_str().into()),
-                (
-                    "flow_solvers",
-                    Json::Arr(flow_solvers.iter().map(|k| k.as_str().into()).collect()),
                 ),
             ]),
             Event::AuthOk => Json::obj([("event", "auth_ok".into())]),
@@ -1195,7 +1153,6 @@ impl Event {
                 job,
                 outcome,
                 cache_delta,
-                flow_solver,
                 node,
             } => with_node(
                 Json::obj([
@@ -1203,7 +1160,6 @@ impl Event {
                     ("job", (*job).into()),
                     ("outcome", outcome_to_json(outcome)),
                     ("cache_delta", cache_stats_to_json(cache_delta)),
-                    ("flow_solver", flow_solver.as_str().into()),
                 ]),
                 node,
             ),
@@ -1245,7 +1201,6 @@ impl Event {
                     ("active_jobs", stats.active_jobs.into()),
                     ("queue_depth", stats.queue_depth.into()),
                     ("in_flight", stats.in_flight.into()),
-                    ("flow_solver", stats.flow_solver.as_str().into()),
                     ("max_active_jobs", stats.max_active_jobs.into()),
                 ]);
                 if !stats.per_node.is_empty() {
@@ -1305,8 +1260,6 @@ impl Event {
                 auth: bool_field(&json, "auth")?,
                 threads: usize_field(&json, "threads")?,
                 workloads: string_list(&json, "workloads")?,
-                flow_solver: parse_solver(&str_field(&json, "flow_solver")?)?,
-                flow_solvers: string_list(&json, "flow_solvers")?,
             }),
             "auth_ok" => Ok(Event::AuthOk),
             "submitted" => Ok(Event::Submitted {
@@ -1329,7 +1282,6 @@ impl Event {
                 job: u64_field(&json, "job")?,
                 outcome: outcome_from_json(field(&json, "outcome")?)?,
                 cache_delta: cache_stats_from_json(field(&json, "cache_delta")?)?,
-                flow_solver: parse_solver(&str_field(&json, "flow_solver")?)?,
                 node: opt_str_field(&json, "node")?,
             }),
             "failed" => Ok(Event::Failed {
@@ -1580,10 +1532,8 @@ mod tests {
             outcome: Outcome::Sweep(result.clone()),
             cache_delta: CacheStats {
                 flow_solves: 1,
-                flow_solves_ssp: 1,
                 ..CacheStats::default()
             },
-            flow_solver: SolverKind::SuccessiveShortestPath,
             node: None,
         };
         let decoded = Event::decode(&event.encode()).unwrap();
@@ -1620,7 +1570,6 @@ mod tests {
             job: 7,
             outcome: Outcome::PerturbAverage(result.clone()),
             cache_delta: CacheStats::default(),
-            flow_solver: SolverKind::NetworkSimplex,
             node: None,
         };
         match Event::decode(&event.encode()).unwrap() {
@@ -1657,7 +1606,6 @@ mod tests {
             job: 9,
             outcome: Outcome::Suite(result),
             cache_delta: CacheStats::default(),
-            flow_solver: SolverKind::SuccessiveShortestPath,
             node: None,
         });
     }
@@ -1666,7 +1614,6 @@ mod tests {
     fn custom_outcomes_decode_as_other() {
         let event = Event::Done {
             job: 11,
-            flow_solver: SolverKind::SuccessiveShortestPath,
             node: None,
             outcome: Outcome::Other {
                 kind: "fib".to_string(),
@@ -1704,8 +1651,6 @@ mod tests {
             protocol: PROTOCOL_VERSION,
             threads: 8,
             workloads: vec!["fib".to_string(), "sweep".to_string()],
-            flow_solver: SolverKind::SuccessiveShortestPath,
-            flow_solvers: SolverKind::ALL.map(|k| k.as_str().to_string()).to_vec(),
             role: Role::Node,
             nodes: Vec::new(),
             auth: false,
@@ -1746,7 +1691,6 @@ mod tests {
             active_jobs: 2,
             queue_depth: 17,
             in_flight: 1,
-            flow_solver: SolverKind::NetworkSimplex,
             max_active_jobs: 64,
             per_node: Vec::new(),
         }));
@@ -1755,8 +1699,8 @@ mod tests {
             // quotes in label values, and histogram bucket lines must all
             // survive the JSON string codec.
             exposition: "# TYPE marqsim_flow_solves_total counter\n\
-                         marqsim_flow_solves_total{backend=\"ssp\"} 3\n\
-                         marqsim_flow_solve_seconds_bucket{backend=\"ssp\",le=\"+Inf\"} 3\n"
+                         marqsim_flow_solves_total 3\n\
+                         marqsim_flow_phase_seconds_bucket{phase=\"init\",le=\"+Inf\"} 3\n"
                 .to_string(),
             requests: 7,
             bytes_in: 812,
@@ -1767,7 +1711,6 @@ mod tests {
         });
         event_round_trip(Event::Done {
             job: 5,
-            flow_solver: SolverKind::NetworkSimplex,
             node: None,
             outcome: Outcome::Compile(CompileSummary {
                 num_samples: 100,
@@ -1810,8 +1753,6 @@ mod tests {
             protocol: PROTOCOL_VERSION,
             threads: 0,
             workloads: vec!["sweep".to_string()],
-            flow_solver: SolverKind::SuccessiveShortestPath,
-            flow_solvers: SolverKind::ALL.map(|k| k.as_str().to_string()).to_vec(),
             role: Role::Router,
             nodes: vec!["127.0.0.1:7401".to_string(), "127.0.0.1:7402".to_string()],
             auth: true,
@@ -1857,7 +1798,6 @@ mod tests {
             active_jobs: 1,
             queue_depth: 0,
             in_flight: 1,
-            flow_solver: SolverKind::Auto,
             max_active_jobs: 64,
             per_node: Vec::new(),
         };
@@ -1867,7 +1807,6 @@ mod tests {
             active_jobs: 1,
             queue_depth: 0,
             in_flight: 1,
-            flow_solver: SolverKind::Auto,
             max_active_jobs: 64,
             per_node: vec![
                 NodeStats {

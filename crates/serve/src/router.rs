@@ -40,7 +40,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use marqsim_cluster::{instruments as cluster_instruments, HashRing, Health, Membership};
-use marqsim_engine::SolverKind;
 use marqsim_net::{
     ConnectStatus, DeadlineWheel, Interest, IoStatus, LineAssembler, Listener, PollEvent, Poller,
     Stream, TimerKey, Token, WakeHandle, Wakeup,
@@ -558,11 +557,6 @@ impl RouterLoop {
             // `stats` fan-out.
             threads: 0,
             workloads: self.workloads.clone(),
-            flow_solver: SolverKind::default(),
-            flow_solvers: SolverKind::SELECTABLE
-                .iter()
-                .map(|k| k.as_str().to_string())
-                .collect(),
         };
         self.push_down(slot, &hello);
     }
@@ -918,11 +912,6 @@ impl RouterLoop {
             .count();
         let mut total = ServerStats {
             in_flight,
-            flow_solver: pending
-                .parts
-                .iter()
-                .find(|part| part.health == "up" || part.health == "suspect")
-                .map_or_else(SolverKind::default, |part| part.stats.flow_solver),
             ..ServerStats::default()
         };
         for part in &pending.parts {
@@ -1514,7 +1503,6 @@ impl RouterLoop {
                 job: node_job,
                 outcome,
                 cache_delta,
-                flow_solver,
                 ..
             } => {
                 let name = self.nodes[index].name.clone();
@@ -1525,7 +1513,6 @@ impl RouterLoop {
                             job: router_job,
                             outcome,
                             cache_delta,
-                            flow_solver,
                             node: Some(name),
                         };
                         self.push_down(entry.down.slot, &event);

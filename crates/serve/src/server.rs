@@ -66,7 +66,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use marqsim_engine::{Engine, JobControl, SolverKind, SubmitOptions};
+use marqsim_engine::{Engine, JobControl, SubmitOptions};
 use marqsim_net::{
     DeadlineWheel, Interest, IoStatus, LineAssembler, Listener, PollEvent, Poller, Stream,
     TimerKey, Token, WakeHandle, Wakeup,
@@ -653,11 +653,6 @@ impl EventLoop {
             auth: self.token.is_some(),
             threads: self.engine.threads(),
             workloads: self.registry.kinds(),
-            flow_solver: self.engine.flow_solver(),
-            flow_solvers: SolverKind::SELECTABLE
-                .iter()
-                .map(|k| k.as_str().to_string())
-                .collect(),
         };
         self.push_event(slot, &hello, None);
     }
@@ -791,7 +786,6 @@ impl EventLoop {
                     active_jobs: self.engine.active_jobs(),
                     queue_depth: self.engine.queue_depth(),
                     in_flight,
-                    flow_solver: self.engine.flow_solver(),
                     max_active_jobs: self.max_active_jobs,
                     per_node: Vec::new(),
                 });
@@ -983,9 +977,6 @@ impl EventLoop {
             gen: conn.gen,
         };
         let stats_before = self.engine.cache().stats();
-        let job_flow_solver = options
-            .flow_solver
-            .unwrap_or_else(|| self.engine.flow_solver());
 
         // Hooks run on the job's coordinator thread and carry the
         // engine-assigned id, so there is no submit/progress id race to
@@ -1030,7 +1021,6 @@ impl EventLoop {
                             job: job.0,
                             outcome: crate::protocol::Outcome::Other { kind, value },
                             cache_delta,
-                            flow_solver: job_flow_solver,
                             node: None,
                         },
                         Err(message) => Event::Failed {

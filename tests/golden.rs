@@ -23,7 +23,7 @@ use std::path::PathBuf;
 
 use marqsim::core::experiment::SweepConfig;
 use marqsim::core::fitting::fit_exponential;
-use marqsim::core::{CompilerConfig, SolverKind, TransitionStrategy};
+use marqsim::core::{CompilerConfig, TransitionStrategy};
 use marqsim::engine::{CompileRequest, Engine, EngineConfig};
 use marqsim::pauli::Hamiltonian;
 
@@ -37,40 +37,10 @@ fn tiny_benchmarks() -> Vec<(&'static str, Hamiltonian, f64)> {
     marqsim::hamlib::suite::golden_tiny_benchmarks()
 }
 
-/// Engines honor the environment (most importantly `MARQSIM_FLOW_SOLVER`,
-/// so the CI test-matrix leg exercises the non-default backend end to end)
-/// with the thread count pinned per render.
+/// Engines honor the environment with the thread count pinned per render.
 fn engine(threads: usize) -> Engine {
     let config = EngineConfig::from_env().expect("engine environment");
     Engine::new(config.with_threads(threads))
-}
-
-/// The min-cost-flow backend the environment selects (the default when
-/// unset — exactly what `engine()` resolves).
-fn env_solver() -> SolverKind {
-    EngineConfig::from_env()
-        .expect("engine environment")
-        .cache
-        .flow_solver
-}
-
-/// Resolves the golden file for an output. `table1` is solver-independent;
-/// flow-derived outputs (`table2`, `fig12`) are pinned **per backend**:
-/// backends guarantee equal optimal cost, but a degenerate optimum (e.g.
-/// `tiny-ising`'s symmetric states) lets each backend deterministically
-/// pick a different optimal flow, so each backend's numbers get their own
-/// committed file (`<stem>.<backend>.txt` for anything but `ssp`). The
-/// engine default is `auto`; its files are bit-identical to the bare ones
-/// today (every golden instance is small enough to resolve to ssp) but
-/// stay separate so a future threshold change shows up as a diff, not a
-/// silent reroute.
-fn golden_file(base: &str, solver_dependent: bool) -> String {
-    let solver = env_solver();
-    if !solver_dependent || solver == SolverKind::default() {
-        return base.to_string();
-    }
-    let stem = base.strip_suffix(".txt").unwrap_or(base);
-    format!("{stem}.{}.txt", solver.as_str())
 }
 
 /// Table 1 shape: the benchmark inventory columns (name, qubits, string
@@ -283,17 +253,17 @@ fn assert_matches_golden(name: &str, rendered: &str) {
 
 #[test]
 fn table1_numeric_columns_are_stable() {
-    assert_matches_golden(&golden_file("table1.txt", false), &render_table1());
+    assert_matches_golden("table1.txt", &render_table1());
 }
 
 #[test]
 fn table2_numeric_columns_are_stable() {
-    assert_matches_golden(&golden_file("table2.txt", true), &render_table2(2));
+    assert_matches_golden("table2.txt", &render_table2(2));
 }
 
 #[test]
 fn fig12_numeric_columns_are_stable() {
-    assert_matches_golden(&golden_file("fig12.txt", true), &render_fig12(2));
+    assert_matches_golden("fig12.txt", &render_fig12(2));
 }
 
 #[test]

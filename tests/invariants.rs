@@ -19,7 +19,6 @@ use marqsim::core::qdrift::qdrift_matrix;
 use marqsim::core::transition::build_transition_matrix;
 use marqsim::core::{metrics, TransitionStrategy};
 use marqsim::flow::bipartite;
-use marqsim::flow::SolverKind;
 use marqsim::markov::combine::combine;
 use marqsim::pauli::algebra::cnot_count_between;
 use marqsim::pauli::{Hamiltonian, PauliOp, PauliString, Term};
@@ -366,7 +365,7 @@ fn bipartite_flow_is_optimal_against_brute_force_matching() {
     // excluded) is the Birkhoff polytope of K_n minus a perfect matching:
     // its vertices are derangement permutation matrices scaled by 1/n, so
     // the LP optimum equals the cheapest derangement's mean cost. The
-    // successive-shortest-path solver must match that brute force exactly.
+    // production solve must match that brute force exactly.
     check(
         "bipartite optimality vs derangement brute force",
         Config::default().with_seed(0xB2),
@@ -401,63 +400,28 @@ fn bipartite_flow_is_optimal_against_brute_force_matching() {
 }
 
 #[test]
-fn every_backend_solves_the_transportation_problem_to_the_same_optimum() {
-    // The cross-backend headline guarantee: on random bipartite instances
-    // every registered solver reports the same optimal cost (to 1e-9) and a
-    // flow that conserves the marginals. Optimal *flows* may differ when
-    // the optimum is degenerate; the objective may not.
-    check(
-        "cross-backend cost equality + marginal conservation",
-        Config::default().with_seed(0xB4),
-        |g| {
-            let n = g.usize_in(3..8);
-            transport_instance(g, n, false)
-        },
-        |(marginal, costs)| {
-            let n = marginal.len();
-            let mut optima: Vec<(SolverKind, f64)> = Vec::new();
-            for kind in SolverKind::ALL {
-                let sol = bipartite::solve_with(kind, marginal, costs, |i, j| i != j)
-                    .map_err(|e| format!("{kind}: {e}"))?;
-                for i in 0..n {
-                    let row: f64 = sol.flows[i].iter().sum();
-                    let col: f64 = (0..n).map(|k| sol.flows[k][i]).sum();
-                    ok_if((row - marginal[i]).abs() < 1e-7, || {
-                        format!("{kind}: row {i}: {row} vs pi {}", marginal[i])
-                    })?;
-                    ok_if((col - marginal[i]).abs() < 1e-7, || {
-                        format!("{kind}: col {i}: {col} vs pi {}", marginal[i])
-                    })?;
-                }
-                optima.push((kind, sol.cost));
-            }
-            let (reference_kind, reference) = optima[0];
-            for &(kind, cost) in &optima[1..] {
-                ok_if((cost - reference).abs() < 1e-9, || {
-                    format!("{reference_kind} found {reference} but {kind} found {cost}")
-                })?;
-            }
-            Ok(())
-        },
-    );
-}
-
-#[test]
 fn network_simplex_is_optimal_against_brute_force_matching() {
-    // Same brute-force cross-check the default backend gets: with a uniform
-    // marginal the LP optimum is the cheapest derangement's mean cost.
+    // The same derangement brute force, driven through the simplex's
+    // warm-start path: a basis exported by a solve over unrelated costs on
+    // the same topology must still pivot to the cheapest derangement.
     check(
-        "network-simplex optimality vs derangement brute force",
+        "network-simplex warm-start optimality vs derangement brute force",
         Config::default().with_seed(0xB5),
         |g| {
             let n = g.usize_in(2..7);
-            transport_instance(g, n, true)
+            let (marginal, costs) = transport_instance(g, n, true);
+            let (_, seed_costs) = transport_instance(g, n, true);
+            (marginal, costs, seed_costs)
         },
-        |(marginal, costs)| {
+        |(marginal, costs, seed_costs)| {
             let n = marginal.len();
-            let sol =
-                bipartite::solve_with(SolverKind::NetworkSimplex, marginal, costs, |i, j| i != j)
-                    .map_err(|e| e.to_string())?;
+            let (_, basis) = bipartite::solve_with_basis(marginal, seed_costs, |i, j| i != j)
+                .map_err(|e| e.to_string())?;
+            let (sol, _) = bipartite::solve_warm(marginal, costs, |i, j| i != j, &basis)
+                .map_err(|e| e.to_string())?;
+            ok_if(sol.warm_start, || {
+                "matching basis was not reused for the warm solve".to_string()
+            })?;
             let mut best = f64::INFINITY;
             permutations(n, &mut |perm| {
                 if perm.iter().enumerate().all(|(i, &j)| i != j) {
@@ -472,7 +436,7 @@ fn network_simplex_is_optimal_against_brute_force_matching() {
             ok_if(best.is_finite(), || "no derangement found".to_string())?;
             ok_if((sol.cost - best).abs() < 1e-7, || {
                 format!(
-                    "simplex cost {} vs brute-force derangement optimum {best}",
+                    "warm simplex cost {} vs brute-force derangement optimum {best}",
                     sol.cost
                 )
             })
