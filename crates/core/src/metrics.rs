@@ -138,10 +138,11 @@ pub fn sequence_stats(ham: &Hamiltonian, sequence: &[usize]) -> SequenceStats {
 /// evolution `exp(iHt)`.
 ///
 /// Each sample contributes a rotation angle `λ t / N`; merged repeats
-/// contribute proportionally larger angles. The cost is `O(4^n)` per merged
-/// segment plus one dense matrix exponential, so this is intended for
-/// Hamiltonians of at most ~10 qubits. Callers scoring many sequences of
-/// one `(H, t)` compute the exponential once with
+/// contribute proportionally larger angles. The cost is `O(4^n)` per run
+/// of consecutive segments with equal x-mask (see
+/// [`UnitaryAccumulator::apply_sequence`]) plus one exact unitary, so this
+/// is intended for Hamiltonians of at most ~10 qubits. Callers scoring
+/// many sequences of one `(H, t)` compute the exact unitary once with
 /// [`exact::exact_unitary`] and pass it to [`evaluate_fidelity_against`].
 ///
 /// # Panics
@@ -167,13 +168,20 @@ pub fn evaluate_fidelity_against(
     let lambda = ham.lambda();
     let num_samples = sequence.len().max(1);
     let tau = lambda * t / num_samples as f64;
+    // Sign of the coefficient matters: qDRIFT samples by |h| and applies
+    // the rotation with the sign of h.
+    let rotations: Vec<(PauliString, f64)> = merge_consecutive(sequence)
+        .into_iter()
+        .map(|(idx, mult)| {
+            let term = ham.term(idx);
+            (
+                term.string.clone(),
+                term.coefficient.signum() * tau * mult as f64,
+            )
+        })
+        .collect();
     let mut acc = UnitaryAccumulator::new(n);
-    for (idx, mult) in merge_consecutive(sequence) {
-        // Sign of the coefficient matters: qDRIFT samples by |h| and applies
-        // the rotation with the sign of h.
-        let sign = ham.term(idx).coefficient.signum();
-        acc.apply_pauli_rotation(&ham.term(idx).string, sign * tau * mult as f64);
-    }
+    acc.apply_sequence(&rotations);
     fidelity::fidelity_with_matrix(&acc, exact)
 }
 

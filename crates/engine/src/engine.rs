@@ -21,7 +21,7 @@ use marqsim_core::{
 use marqsim_linalg::Matrix;
 use marqsim_obs::{metrics, trace};
 use marqsim_pauli::Hamiltonian;
-use marqsim_sim::exact::exact_unitary;
+use marqsim_sim::exact::{self, exact_unitary};
 
 use crate::cache::{hamiltonian_fingerprint, CacheConfig, CacheKey, StrategyKey, TransitionCache};
 use crate::error::EngineError;
@@ -794,16 +794,25 @@ impl Engine {
             })
             .collect();
 
-        let _span = (!distinct.is_empty())
+        let span = (!distinct.is_empty())
             .then(|| trace::Span::enter("resolve_exact").field("exacts", distinct.len()));
         let exacts = self.pool.map_at(
             priority,
             distinct,
             Arc::new(|_idx, (graph, t): (Arc<HttGraph>, f64)| {
-                Arc::new(exact_unitary(graph.hamiltonian(), t))
+                let ham = graph.hamiltonian();
+                (Arc::new(exact_unitary(ham, t)), exact::cost(ham, t))
             }),
             |_| {},
         );
+        // The cost model's inputs over the batch (one unitary's own when
+        // `exacts` is 1).
+        let _span = span.map(|span| {
+            let costs = || exacts.iter().flatten().map(|(_, cost)| cost);
+            span.field("qubits", costs().map(|c| c.qubits).max().unwrap_or(0))
+                .field("x_groups", costs().map(|c| c.x_groups).sum::<usize>())
+                .field("squarings", costs().map(|c| c.squarings).sum::<u32>())
+        });
 
         jobs.iter()
             .zip(graphs)
@@ -811,7 +820,7 @@ impl Engine {
             .map(|((job, graph), index)| {
                 let exact = match index.map(|index| &exacts[index]) {
                     None => None,
-                    Some(Ok(exact)) => Some(Arc::clone(exact)),
+                    Some(Ok((exact, _))) => Some(Arc::clone(exact)),
                     Some(Err(message)) => {
                         return Err(EngineError::panic(job.label(), message.clone()))
                     }

@@ -1,8 +1,8 @@
 //! Matrix exponential via scaling-and-squaring with a truncated Taylor series.
 //!
-//! The exact reference evolution `U = exp(iHt)` used to evaluate unitary
-//! fidelity (§6.1 of the paper) requires a dense matrix exponential. The
-//! exponent `iHt` is skew-Hermitian, so the exponential is unitary and the
+//! This dense exponential is the reference that the structure-aware exact
+//! evolution in `marqsim-sim` is tested against. For an exponent `iHt`
+//! (skew-Hermitian), the exponential is unitary and the
 //! scaling-and-squaring approach is numerically benign: we scale the exponent
 //! by `2^{-s}` until its norm is below a threshold, evaluate a Taylor series
 //! to machine precision, and square the result `s` times.

@@ -314,7 +314,8 @@ impl<'a> Parser<'a> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), WireError> {
+    /// Consumes byte `b`, or fails naming it.
+    fn eat(&mut self, b: u8) -> Result<(), WireError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -350,7 +351,7 @@ impl<'a> Parser<'a> {
     }
 
     fn array(&mut self, depth: usize) -> Result<Json, WireError> {
-        self.expect(b'[')?;
+        self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_whitespace();
         if self.peek() == Some(b']') {
@@ -373,7 +374,7 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self, depth: usize) -> Result<Json, WireError> {
-        self.expect(b'{')?;
+        self.eat(b'{')?;
         let mut fields = Vec::new();
         self.skip_whitespace();
         if self.peek() == Some(b'}') {
@@ -384,7 +385,7 @@ impl<'a> Parser<'a> {
             self.skip_whitespace();
             let key = self.string()?;
             self.skip_whitespace();
-            self.expect(b':')?;
+            self.eat(b':')?;
             self.skip_whitespace();
             let value = self.value(depth + 1)?;
             fields.push((key, value));
@@ -401,7 +402,7 @@ impl<'a> Parser<'a> {
     }
 
     fn string(&mut self) -> Result<String, WireError> {
-        self.expect(b'"')?;
+        self.eat(b'"')?;
         let mut out = String::new();
         loop {
             let start = self.pos;
@@ -413,9 +414,11 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
             if self.pos > start {
-                // The input is valid UTF-8 (it is a &str) and the run ends
-                // on an ASCII boundary byte, so the slice is valid UTF-8.
-                out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).expect("utf-8 run"));
+                // Cannot fail on `&str` input, since the run ends on an
+                // ASCII byte; an error all the same, never a panic.
+                let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                    .map_err(|_| self.error("invalid utf-8 in string"))?;
+                out.push_str(run);
             }
             match self.peek() {
                 Some(b'"') => {
@@ -506,7 +509,8 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| self.error("invalid number"))?;
         if !is_float && !text.starts_with('-') {
             if let Ok(n) = text.parse::<u64>() {
                 return Ok(Json::UInt(n));

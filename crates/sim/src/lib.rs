@@ -13,9 +13,12 @@
 //!   row-major planes, updating rows in place, either gate-by-gate or
 //!   Pauli-rotation-by-rotation (the latter is what the experiment drivers
 //!   use: it avoids synthesizing millions of gates when only the unitary
-//!   matters). Both types share one implementation of the rotation math.
-//! * [`exact`] — the exact reference evolution `exp(iHt)` via the dense
-//!   matrix exponential.
+//!   matters). A sequence costs one `O(4^n)` pass per maximal run of
+//!   consecutive rotations with equal x-mask. Both types share one
+//!   implementation of the Pauli phase convention and rotation math.
+//! * [`exact`] — the exact reference evolution `exp(iHt)`, by scaling and
+//!   squaring over the Hamiltonian's x-mask groups: no dense `H` is formed,
+//!   and one product `H · M` costs `O(groups · 4^n)`.
 //! * [`fidelity`] — the unitary fidelity metric.
 //!
 //! # Example
@@ -39,6 +42,7 @@
 //! # }
 //! ```
 
+mod planes;
 mod rotation;
 mod state;
 mod unitary;

@@ -201,7 +201,8 @@ impl StateVector {
             "Pauli string qubit count mismatch"
         );
         let rotation = PauliRotation::new(pauli, angle);
-        if rotation.x_mask == 0 {
+        let x_mask = rotation.action.x_mask;
+        if x_mask == 0 {
             // Diagonal Pauli string: each amplitude picks up a phase.
             for (k, amp) in self.amplitudes.iter_mut().enumerate() {
                 *amp = rotation.phase(k) * *amp;
@@ -209,12 +210,12 @@ impl StateVector {
         } else {
             // Amplitudes pair up as (k, k ^ x_mask); update each pair once.
             for k in 0..self.amplitudes.len() {
-                let p = k ^ rotation.x_mask;
+                let p = k ^ x_mask;
                 if k < p {
-                    let (ck, cp) = rotation.pair(k);
+                    let [[ckk, ckp], [cpk, cpp]] = rotation.pair(k);
                     let (a, b) = (self.amplitudes[k], self.amplitudes[p]);
-                    self.amplitudes[k] = Complex::real(rotation.cos) * a + ck * b;
-                    self.amplitudes[p] = Complex::real(rotation.cos) * b + cp * a;
+                    self.amplitudes[k] = ckk * a + ckp * b;
+                    self.amplitudes[p] = cpk * a + cpp * b;
                 }
             }
         }

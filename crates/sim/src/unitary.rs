@@ -4,10 +4,8 @@ use marqsim_circuit::{Circuit, Gate};
 use marqsim_linalg::{Complex, Matrix};
 use marqsim_pauli::PauliString;
 
+use crate::planes::{Planes, Row};
 use crate::rotation::PauliRotation;
-
-/// One row as mutable `(real, imaginary)` slices.
-type RowMut<'a> = (&'a mut [f64], &'a mut [f64]);
 
 /// Accumulates the full `2^n × 2^n` unitary of a gate/rotation sequence.
 ///
@@ -19,10 +17,15 @@ type RowMut<'a> = (&'a mut [f64], &'a mut [f64]);
 /// the rows that differ in its qubit. Each update runs in place over
 /// contiguous rows, with the coefficients computed once per row pair.
 ///
-/// This is the workhorse of the algorithmic-accuracy evaluation: the cost of
-/// applying one Pauli rotation is `O(4^n)`, which is what makes sweeping
-/// thousands of sampled terms feasible without synthesizing and multiplying
-/// dense gate matrices.
+/// Rotations that share an `x_mask` act on the same row pairs, so
+/// [`apply_sequence`](Self::apply_sequence) fuses each maximal run of
+/// consecutive rotations with equal `x_mask` into one `O(4^n)` pass: the
+/// product of the run's `2 × 2` pair matrices (one phase per row for a
+/// diagonal run) costs `O(run · 2^n)` to form. Molecular Hamiltonians are
+/// mostly diagonal strings, so a sampled sequence collapses into far fewer
+/// passes than rotations. This is the workhorse of the
+/// algorithmic-accuracy evaluation: it avoids synthesizing and multiplying
+/// dense gate matrices for thousands of sampled terms.
 ///
 /// # Example
 ///
@@ -39,24 +42,15 @@ type RowMut<'a> = (&'a mut [f64], &'a mut [f64]);
 #[derive(Debug, Clone)]
 pub struct UnitaryAccumulator {
     num_qubits: usize,
-    /// `re[i * dim + j] = Re U[i][j]`.
-    re: Vec<f64>,
-    /// `im[i * dim + j] = Im U[i][j]`.
-    im: Vec<f64>,
+    planes: Planes,
 }
 
 impl UnitaryAccumulator {
     /// Starts from the identity on `num_qubits` qubits.
     pub fn new(num_qubits: usize) -> Self {
-        let dim = 1usize << num_qubits;
-        let mut re = vec![0.0; dim * dim];
-        for k in 0..dim {
-            re[k * dim + k] = 1.0;
-        }
         UnitaryAccumulator {
             num_qubits,
-            re,
-            im: vec![0.0; dim * dim],
+            planes: Planes::identity(1usize << num_qubits),
         }
     }
 
@@ -65,54 +59,9 @@ impl UnitaryAccumulator {
         self.num_qubits
     }
 
-    fn dim(&self) -> usize {
-        1usize << self.num_qubits
-    }
-
     /// Row `i` of the accumulated unitary as `(real, imaginary)` slices.
-    pub(crate) fn row(&self, i: usize) -> (&[f64], &[f64]) {
-        let dim = self.dim();
-        let range = i * dim..(i + 1) * dim;
-        (&self.re[range.clone()], &self.im[range])
-    }
-
-    /// Rows `a < b` as mutable `((re_a, im_a), (re_b, im_b))` slices.
-    fn row_pair_mut(&mut self, a: usize, b: usize) -> (RowMut<'_>, RowMut<'_>) {
-        debug_assert!(a < b);
-        let dim = self.dim();
-        let (re_lo, re_hi) = self.re.split_at_mut(b * dim);
-        let (im_lo, im_hi) = self.im.split_at_mut(b * dim);
-        (
-            (
-                &mut re_lo[a * dim..(a + 1) * dim],
-                &mut im_lo[a * dim..(a + 1) * dim],
-            ),
-            (&mut re_hi[..dim], &mut im_hi[..dim]),
-        )
-    }
-
-    /// Replaces rows `a < b` with `(ca · row_a + cb · row_b,
-    /// da · row_a + db · row_b)`.
-    fn mix_rows(&mut self, a: usize, b: usize, [ca, cb]: [Complex; 2], [da, db]: [Complex; 2]) {
-        let ((ar, ai), (br, bi)) = self.row_pair_mut(a, b);
-        for (((ar, ai), br), bi) in ar.iter_mut().zip(ai).zip(br).zip(bi) {
-            let (xr, xi, yr, yi) = (*ar, *ai, *br, *bi);
-            *ar = ca.re * xr - ca.im * xi + cb.re * yr - cb.im * yi;
-            *ai = ca.re * xi + ca.im * xr + cb.re * yi + cb.im * yr;
-            *br = da.re * xr - da.im * xi + db.re * yr - db.im * yi;
-            *bi = da.re * xi + da.im * xr + db.re * yi + db.im * yr;
-        }
-    }
-
-    /// Multiplies row `i` by `phase`.
-    fn scale_row(&mut self, i: usize, phase: Complex) {
-        let dim = self.dim();
-        let range = i * dim..(i + 1) * dim;
-        for (r, m) in self.re[range.clone()].iter_mut().zip(&mut self.im[range]) {
-            let (xr, xi) = (*r, *m);
-            *r = phase.re * xr - phase.im * xi;
-            *m = phase.re * xi + phase.im * xr;
-        }
+    pub(crate) fn row(&self, i: usize) -> Row<'_> {
+        self.planes.row(i)
     }
 
     /// Applies a single gate to the accumulated unitary (`U ← G · U`).
@@ -121,7 +70,7 @@ impl UnitaryAccumulator {
     ///
     /// Panics if the gate addresses a qubit outside the register.
     pub fn apply_gate(&mut self, gate: &Gate) {
-        let dim = self.dim();
+        let dim = self.planes.dim();
         match gate {
             Gate::Cnot { control, target } => {
                 let (control, target) = (*control, *target);
@@ -131,7 +80,7 @@ impl UnitaryAccumulator {
                 );
                 let (cmask, tmask) = (1usize << control, 1usize << target);
                 for k in (0..dim).filter(|k| k & cmask != 0 && k & tmask == 0) {
-                    let ((ar, ai), (br, bi)) = self.row_pair_mut(k, k | tmask);
+                    let ((ar, ai), (br, bi)) = self.planes.row_pair_mut(k, k | tmask);
                     ar.swap_with_slice(br);
                     ai.swap_with_slice(bi);
                 }
@@ -139,7 +88,7 @@ impl UnitaryAccumulator {
             Gate::GlobalPhase(phi) => {
                 let phase = Complex::cis(*phi);
                 for i in 0..dim {
-                    self.scale_row(i, phase);
+                    self.planes.scale_row(i, phase);
                 }
             }
             single => {
@@ -148,7 +97,7 @@ impl UnitaryAccumulator {
                 let m = single.local_matrix();
                 let stride = 1usize << q;
                 for k in (0..dim).filter(|k| k & stride == 0) {
-                    self.mix_rows(
+                    self.planes.mix_rows(
                         k,
                         k + stride,
                         [m[(0, 0)], m[(0, 1)]],
@@ -173,41 +122,65 @@ impl UnitaryAccumulator {
     /// Panics if `P` acts on a different number of qubits than the
     /// accumulator.
     pub fn apply_pauli_rotation(&mut self, pauli: &PauliString, angle: f64) {
+        let rotation = self.rotation(pauli, angle);
+        self.apply_run(&[rotation]);
+    }
+
+    /// Applies a sequence of Pauli rotations in order, one pass per maximal
+    /// run of consecutive rotations with equal `x_mask`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a string acts on a different number of qubits than the
+    /// accumulator.
+    pub fn apply_sequence(&mut self, sequence: &[(PauliString, f64)]) {
+        let rotations: Vec<PauliRotation> = sequence
+            .iter()
+            .map(|(pauli, angle)| self.rotation(pauli, *angle))
+            .collect();
+        for run in rotations.chunk_by(|a, b| a.action.x_mask == b.action.x_mask) {
+            self.apply_run(run);
+        }
+    }
+
+    fn rotation(&self, pauli: &PauliString, angle: f64) -> PauliRotation {
         assert_eq!(
             pauli.num_qubits(),
             self.num_qubits,
             "Pauli string qubit count mismatch"
         );
-        let rotation = PauliRotation::new(pauli, angle);
-        if rotation.x_mask == 0 {
-            for k in 0..self.dim() {
-                self.scale_row(k, rotation.phase(k));
+        PauliRotation::new(pauli, angle)
+    }
+
+    /// Applies `exp(iθ_L P_L) ··· exp(iθ_1 P_1)` for a non-empty run of
+    /// rotations that share one `x_mask`, in one pass over the rows.
+    fn apply_run(&mut self, run: &[PauliRotation]) {
+        let x_mask = run[0].action.x_mask;
+        debug_assert!(run.iter().all(|r| r.action.x_mask == x_mask));
+        let dim = self.planes.dim();
+        if x_mask == 0 {
+            for k in 0..dim {
+                let phase = run.iter().fold(Complex::ONE, |acc, r| r.phase(k) * acc);
+                self.planes.scale_row(k, phase);
             }
             return;
         }
-        for k in 0..self.dim() {
-            let p = k ^ rotation.x_mask;
-            if k < p {
-                let (ck, cp) = rotation.pair(k);
-                let cos = Complex::real(rotation.cos);
-                self.mix_rows(k, p, [cos, ck], [cp, cos]);
-            }
-        }
-    }
-
-    /// Applies a sequence of Pauli rotations in order.
-    pub fn apply_sequence(&mut self, sequence: &[(PauliString, f64)]) {
-        for (p, angle) in sequence {
-            self.apply_pauli_rotation(p, *angle);
+        for k in (0..dim).filter(|&k| k < k ^ x_mask) {
+            let [top, bottom] = run[1..].iter().fold(run[0].pair(k), |acc, r| {
+                let [[a, b], [c, d]] = r.pair(k);
+                let [[e, f], [g, h]] = acc;
+                [
+                    [a * e + b * g, a * f + b * h],
+                    [c * e + d * g, c * f + d * h],
+                ]
+            });
+            self.planes.mix_rows(k, k ^ x_mask, top, bottom);
         }
     }
 
     /// Exports the accumulated unitary as a dense matrix.
     pub fn to_matrix(&self) -> Matrix {
-        let dim = self.dim();
-        Matrix::from_fn(dim, dim, |i, j| {
-            Complex::new(self.re[i * dim + j], self.im[i * dim + j])
-        })
+        self.planes.to_dense()
     }
 }
 

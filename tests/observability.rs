@@ -359,7 +359,7 @@ fn a_fidelity_batch_computes_each_exact_unitary_once() {
     let buffer = trace::install_memory_sink();
 
     // 3 strategies × 2 ε at one (H, t), plus one sweep at another t: two
-    // distinct (H, t) pairs, so two matrix exponentials for eight points.
+    // distinct (H, t) pairs, so two exact unitaries for eight points.
     let ham = Hamiltonian::parse("0.9 ZZZZ + 0.7 XXII + 0.5 IYYI + 0.3 IIZZ").unwrap();
     let config = SweepConfig {
         time: 0.5,
@@ -399,6 +399,12 @@ fn a_fidelity_batch_computes_each_exact_unitary_once() {
         .collect();
     assert_eq!(resolves.len(), 1, "one exact phase per batch: {lines:?}");
     assert_eq!(num(resolves[0], "exacts"), 2);
+    // The cost-model fields, summed over both: three x-masks each (ZZZZ
+    // and IIZZ share the diagonal one), and λ·t = 1.2 then 0.6 needs one
+    // squaring then none.
+    assert_eq!(num(resolves[0], "qubits"), 4);
+    assert_eq!(num(resolves[0], "x_groups"), 6);
+    assert_eq!(num(resolves[0], "squarings"), 1);
     let resolve_id = num(resolves[0], "id").to_string();
     let computations = lines
         .iter()

@@ -217,6 +217,28 @@ fn interleaved_jobs_from_one_client_resolve_independently() {
     server.shutdown();
 }
 
+/// A random protocol request: a sweep submit or one of the bare verbs.
+fn arbitrary_request(g: &mut quickprop::Gen) -> marqsim::serve::Request {
+    use marqsim::engine::SubmitOptions;
+    use marqsim::serve::{sweep_params, Request};
+    match g.usize_in(0..5) {
+        0 => Request::Submit {
+            label: format!("prop/chunk-{}", g.u64_in(0..=9999)),
+            kind: "sweep".to_string(),
+            params: sweep_params(
+                &ham().to_string(),
+                &TransitionStrategy::marqsim_gc(),
+                &sweep_config(),
+            ),
+            options: SubmitOptions::default(),
+        },
+        1 => Request::Status { job: g.u64() },
+        2 => Request::Cancel { job: g.u64() },
+        3 => Request::Stats,
+        _ => Request::Metrics,
+    }
+}
+
 /// Satellite property for the event-loop server's framing layer: a valid
 /// request stream decodes to the same request sequence no matter how the
 /// transport slices it into reads. The server only ever sees bytes through
@@ -225,29 +247,9 @@ fn interleaved_jobs_from_one_client_resolve_independently() {
 /// be invisible to the protocol layer.
 #[test]
 fn request_streams_decode_identically_under_any_byte_chunking() {
-    use marqsim::engine::SubmitOptions;
     use marqsim::net::LineAssembler;
-    use marqsim::serve::{sweep_params, Request};
-    use quickprop::{check, Config, Gen};
-
-    fn arbitrary_request(g: &mut Gen) -> Request {
-        match g.usize_in(0..5) {
-            0 => Request::Submit {
-                label: format!("prop/chunk-{}", g.u64_in(0..=9999)),
-                kind: "sweep".to_string(),
-                params: sweep_params(
-                    &ham().to_string(),
-                    &TransitionStrategy::marqsim_gc(),
-                    &sweep_config(),
-                ),
-                options: SubmitOptions::default(),
-            },
-            1 => Request::Status { job: g.u64() },
-            2 => Request::Cancel { job: g.u64() },
-            3 => Request::Stats,
-            _ => Request::Metrics,
-        }
-    }
+    use marqsim::serve::Request;
+    use quickprop::{check, Config};
 
     check(
         "byte-chunked request streams decode identically",
@@ -302,6 +304,69 @@ fn request_streams_decode_identically_under_any_byte_chunking() {
                     requests.len()
                 ))
             }
+        },
+    );
+}
+
+/// The decoders are total: any text a socket can deliver — random ASCII
+/// and non-ASCII, and truncated or byte-mutated request lines — yields a
+/// value or a `WireError`, never a panic.
+#[test]
+fn decoders_return_on_arbitrary_input() {
+    use marqsim::serve::{Event, Json, Request};
+    use quickprop::{check, Config, Gen};
+
+    const ASCII: &[u8] = b"{}[]\":,.-+eE0123456789 \t\r\nabcnulltruefalse\\u\x00\x1f\x7f";
+
+    fn arbitrary_text(g: &mut Gen) -> String {
+        match g.usize_in(0..4) {
+            0 => g
+                .vec_of(0..64, |g| char::from(*g.choose(ASCII)))
+                .into_iter()
+                .collect(),
+            1 => g
+                .vec_of(0..32, |g| {
+                    let code = g.u64_in(0..=0x10_FFFF) as u32;
+                    char::from_u32(code).unwrap_or('\u{FFFD}')
+                })
+                .into_iter()
+                .collect(),
+            2 => {
+                let line = arbitrary_request(g).encode();
+                let cut = g.usize_in(0..line.len() + 1);
+                String::from_utf8_lossy(&line.as_bytes()[..cut]).into_owned()
+            }
+            _ => {
+                let mut bytes = arbitrary_request(g).encode().into_bytes();
+                for _ in 0..g.usize_in(1..6) {
+                    let at = g.usize_in(0..bytes.len());
+                    match g.usize_in(0..3) {
+                        0 => bytes[at] = g.u64_in(0..=255) as u8,
+                        1 => {
+                            bytes.remove(at);
+                        }
+                        _ => bytes.insert(at, *g.choose(ASCII)),
+                    }
+                    if bytes.is_empty() {
+                        break;
+                    }
+                }
+                String::from_utf8_lossy(&bytes).into_owned()
+            }
+        }
+    }
+
+    check(
+        "Json::parse, Request::decode and Event::decode are total",
+        Config::default().with_cases(256).with_seed(0x7074_616c),
+        arbitrary_text,
+        |text| {
+            std::panic::catch_unwind(|| {
+                let _ = Json::parse(text);
+                let _ = Request::decode(text);
+                let _ = Event::decode(text);
+            })
+            .map_err(|_| "a decoder panicked".to_string())
         },
     );
 }
