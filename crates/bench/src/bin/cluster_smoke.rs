@@ -393,6 +393,27 @@ fn main() {
     }
     println!("[cluster-smoke] warm fleet rerun solved zero flows fleet-wide");
 
+    // The router counts its own serve instruments: against an external
+    // router this exposition is the router process's alone.
+    let router_metrics = client
+        .metrics()
+        .unwrap_or_else(|e| fail(format!("metrics from the router: {e}")));
+    for series in [
+        "marqsim_serve_requests_total{verb=\"submit\"}",
+        "marqsim_serve_bytes_written_total",
+    ] {
+        let value = router_metrics
+            .exposition
+            .lines()
+            .find_map(|line| line.strip_prefix(series)?.strip_prefix(' '))
+            .and_then(|value| value.trim().parse::<f64>().ok())
+            .unwrap_or(0.0);
+        if value <= 0.0 {
+            fail(format!("router exposition reports {series} = {value}"));
+        }
+    }
+    println!("[cluster-smoke] router serve instruments live");
+
     // Phase 3 — kill the busiest node under a flood of distinct jobs.
     let flood_config = SweepConfig {
         time: 0.5,

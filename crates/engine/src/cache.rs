@@ -634,14 +634,14 @@ impl TransitionCache {
 }
 
 /// 64-bit FNV-1a.
-struct Fnv1a(u64);
+pub(crate) struct Fnv1a(u64);
 
 impl Fnv1a {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Fnv1a(0xcbf2_9ce4_8422_2325)
     }
 
-    fn write_u8(&mut self, byte: u8) {
+    pub(crate) fn write_u8(&mut self, byte: u8) {
         self.0 ^= byte as u64;
         self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -652,7 +652,7 @@ impl Fnv1a {
         }
     }
 
-    fn finish(&self) -> u64 {
+    pub(crate) fn finish(&self) -> u64 {
         self.0
     }
 }

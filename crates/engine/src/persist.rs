@@ -8,7 +8,7 @@
 //! (CI, figure regeneration) nearly free: a fresh process loads the matrix
 //! instead of re-solving the flow model.
 //!
-//! # File format (version 4)
+//! # File format (version 5)
 //!
 //! One file per component, named `pgc-<fingerprint:016x>.mqsc`, all fields
 //! little-endian:
@@ -28,6 +28,7 @@
 //! num_real    u64          -- real arc count
 //! arc_states  (num_real + num_nodes) × u8
 //! arc_flows   (num_real + num_nodes) × f64 bits as u64
+//! checksum    u64          -- FNV-1a 64 of every byte before it
 //! ```
 //!
 //! The basis section stores the network simplex's optimal spanning basis
@@ -37,7 +38,8 @@
 //!
 //! # Safety against collisions and stale files
 //!
-//! A load is only accepted if (1) magic, version, and fingerprint match,
+//! A load is only accepted if (0) the checksum matches, (1) magic,
+//! version, and fingerprint match,
 //! (2) the *full Hamiltonian* stored in the file is equal — term by term,
 //! exact coefficient bits — to the Hamiltonian being requested, and (3) the
 //! matrix passes [`TransitionMatrix::new`]'s row-stochasticity validation.
@@ -59,6 +61,8 @@ use marqsim_core::SpanningBasis;
 use marqsim_markov::TransitionMatrix;
 use marqsim_pauli::{Hamiltonian, PauliOp, PauliString, Term};
 
+use crate::cache::Fnv1a;
+
 const MAGIC: &[u8; 4] = b"MQSC";
 /// Format/provenance version. Bumped to 2 with the pluggable-solver
 /// redesign: the default backend's non-negative fast path may select a
@@ -77,14 +81,28 @@ const MAGIC: &[u8; 4] = b"MQSC";
 /// re-solved rather than loaded as a simplex result. Version 4 also drops
 /// the version-3 basis-present flag byte: every simplex solve exports a
 /// basis, so the basis section is mandatory.
-const VERSION: u32 = 4;
+/// Bumped to 5 with the trailing checksum. Without it a flipped low
+/// mantissa bit passed every semantic check: a basis flow stayed within
+/// the solver's conservation tolerance and warm-started to a slightly
+/// infeasible optimum, and a matrix entry stayed within the stochasticity
+/// tolerance. Now any corruption is a miss.
+const VERSION: u32 = 5;
 
 /// Path of the component file for a fingerprint inside `dir`.
 pub(crate) fn component_path(dir: &Path, fingerprint: u64) -> PathBuf {
     dir.join(format!("pgc-{fingerprint:016x}.mqsc"))
 }
 
-/// Serializes `(ham, matrix, basis)` into the version-4 binary format.
+/// FNV-1a 64 over `bytes`: the file's trailing checksum.
+fn checksum(bytes: &[u8]) -> u64 {
+    let mut hash = Fnv1a::new();
+    for &byte in bytes {
+        hash.write_u8(byte);
+    }
+    hash.finish()
+}
+
+/// Serializes `(ham, matrix, basis)` into the version-5 binary format.
 fn encode(
     fingerprint: u64,
     ham: &Hamiltonian,
@@ -94,7 +112,7 @@ fn encode(
     let n = matrix.num_states();
     let arcs = basis.flows().len();
     let mut out =
-        Vec::with_capacity(4 + 4 + 8 * 3 + ham.num_terms() * 16 + n * n * 8 + 8 * 3 + arcs * 9);
+        Vec::with_capacity(4 + 4 + 8 * 3 + ham.num_terms() * 16 + n * n * 8 + 8 * 4 + arcs * 9);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&fingerprint.to_le_bytes());
@@ -119,6 +137,7 @@ fn encode(
     for &flow in basis.flows() {
         out.extend_from_slice(&flow.to_bits().to_le_bytes());
     }
+    out.extend_from_slice(&checksum(&out).to_le_bytes());
     out
 }
 
@@ -174,6 +193,10 @@ fn decode(
     fingerprint: u64,
     expected: &Hamiltonian,
 ) -> Option<(TransitionMatrix, SpanningBasis)> {
+    let (bytes, trailer) = bytes.split_at(bytes.len().checked_sub(8)?);
+    if u64::from_le_bytes(trailer.try_into().ok()?) != checksum(bytes) {
+        return None;
+    }
     let mut cursor = Cursor { bytes, pos: 0 };
     if cursor.take(4)? != MAGIC {
         return None;
@@ -270,10 +293,18 @@ mod tests {
         Hamiltonian::parse("1.0 IIIZ + 0.5 IIZZ + 0.4 XXYY + 0.1 ZXZY").unwrap()
     }
 
-    /// Byte length of the trailing basis section: three u64 headers, one
-    /// state byte and one f64 flow per arc.
+    /// Byte length of the basis section: three u64 headers, one state
+    /// byte and one f64 flow per arc. The 8-byte checksum follows it.
     fn basis_section_len(basis: &SpanningBasis) -> usize {
         8 * 3 + 9 * (basis.num_real_arcs() + basis.num_nodes())
+    }
+
+    /// Recomputes the checksum of a deliberately edited file, so the edit
+    /// reaches the semantic checks behind it.
+    fn reseal(bytes: &mut [u8]) {
+        let body = bytes.len() - 8;
+        let sum = checksum(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -371,10 +402,11 @@ mod tests {
         let path = component_path(&dir, fp);
         let mut bytes = fs::read(&path).unwrap();
         // Overwrite the last matrix entry with 7.0 (the matrix rows end
-        // where the trailing basis section starts): the row no longer sums
-        // to one, so TransitionMatrix::new must reject the load.
-        let last = bytes.len() - basis_section_len(&basis) - 8;
+        // where the basis section starts): the row no longer sums to one,
+        // so TransitionMatrix::new must reject the load.
+        let last = bytes.len() - 8 - basis_section_len(&basis) - 8;
         bytes[last..last + 8].copy_from_slice(&7.0f64.to_bits().to_le_bytes());
+        reseal(&mut bytes);
         fs::write(&path, &bytes).unwrap();
         assert!(load_component(&dir, fp, &ham).is_none());
         let _ = fs::remove_dir_all(&dir);
@@ -394,6 +426,7 @@ mod tests {
         let path = component_path(&dir, fp);
         let mut bytes = fs::read(&path).unwrap();
         bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        reseal(&mut bytes);
         fs::write(&path, &bytes).unwrap();
         assert!(load_component(&dir, fp, &ham).is_none());
         let _ = fs::remove_dir_all(&dir);
@@ -413,6 +446,7 @@ mod tests {
         let path = component_path(&dir, fp);
         let mut bytes = fs::read(&path).unwrap();
         bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
+        reseal(&mut bytes);
         fs::write(&path, &bytes).unwrap();
         assert!(load_component(&dir, fp, &ham).is_none());
         let _ = fs::remove_dir_all(&dir);
@@ -427,7 +461,7 @@ mod tests {
         save_component(&dir, fp, &ham, &matrix, &basis).unwrap();
         let path = component_path(&dir, fp);
         let good = fs::read(&path).unwrap();
-        let section = good.len() - basis_section_len(&basis);
+        let section = good.len() - 8 - basis_section_len(&basis);
         let num_nodes_at = section + 8;
         assert_eq!(
             good[num_nodes_at..num_nodes_at + 8],
@@ -440,14 +474,88 @@ mod tests {
         let mut bad_count = good.clone();
         bad_count[num_nodes_at..num_nodes_at + 8]
             .copy_from_slice(&(basis.num_nodes() as u64 + 1).to_le_bytes());
+        reseal(&mut bad_count);
         fs::write(&path, &bad_count).unwrap();
         assert!(load_component(&dir, fp, &ham).is_none());
 
         // …and so must an invalid arc-state byte inside the section.
         let mut bad_state = good.clone();
         bad_state[section + 8 * 3] = 0xff;
+        reseal(&mut bad_state);
         fs::write(&path, &bad_state).unwrap();
         assert!(load_component(&dir, fp, &ham).is_none());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_flipped_bit_anywhere_is_a_miss() {
+        // A low mantissa bit of a basis flow passes the solver's
+        // conservation tolerance and of a matrix entry the stochasticity
+        // tolerance; only the checksum catches either.
+        let ham = ham();
+        let fp = hamiltonian_fingerprint(&ham);
+        let (matrix, basis) = gate_cancellation_matrix_with_basis(&ham).unwrap();
+        let good = encode(fp, &ham, &matrix, &basis);
+        assert!(decode(&good, fp, &ham).is_some());
+        for at in [
+            good.len() - 8 - 8,
+            good.len() - 8 - basis_section_len(&basis) - 8,
+        ] {
+            let mut flipped = good.clone();
+            flipped[at] ^= 1;
+            assert!(decode(&flipped, fp, &ham).is_none(), "bit flip at {at}");
+        }
+    }
+
+    #[test]
+    fn decode_is_total_and_accepted_bases_reach_the_cold_optimum() {
+        use marqsim_core::gate_cancel::{
+            cnot_cost_matrix, matrix_from_costs_warm, matrix_from_costs_with_basis,
+        };
+        use quickprop::{check, Config};
+
+        let ham = ham();
+        let fp = hamiltonian_fingerprint(&ham);
+        let costs = cnot_cost_matrix(&ham);
+        let (matrix, cold, basis) = matrix_from_costs_with_basis(&ham, &costs).unwrap();
+        let good = encode(fp, &ham, &matrix, &basis);
+        check(
+            "persist decode is total",
+            Config::default().with_cases(256).with_seed(0xDEC0DE),
+            |g| match g.usize_in(0..3) {
+                // A valid prefix followed by arbitrary bytes, so every
+                // section sees garbage (prefix 0 is arbitrary bytes).
+                0 => {
+                    let mut bytes = good[..g.usize_in(0..good.len())].to_vec();
+                    bytes.extend(g.vec_of(0..64, |g| g.u64() as u8));
+                    bytes
+                }
+                // A truncation, or now and then the valid file itself.
+                1 if g.bool(0.2) => good.clone(),
+                1 => good[..g.usize_in(0..good.len())].to_vec(),
+                // One byte changed anywhere.
+                _ => {
+                    let mut bytes = good.clone();
+                    let at = g.usize_in(0..bytes.len());
+                    bytes[at] = g.u64() as u8;
+                    bytes
+                }
+            },
+            |bytes| {
+                let Some((_, loaded)) = decode(bytes, fp, &ham) else {
+                    return Ok(());
+                };
+                // An accepted basis may only ever speed the solve up.
+                let (_, warm) =
+                    matrix_from_costs_warm(&ham, &costs, &loaded).map_err(|e| e.to_string())?;
+                if (warm.cost - cold.cost).abs() > 1e-9 {
+                    return Err(format!(
+                        "warm start from the decoded basis reached {}, a cold solve {}",
+                        warm.cost, cold.cost
+                    ));
+                }
+                Ok(())
+            },
+        );
     }
 }

@@ -223,4 +223,74 @@ mod tests {
         assert!(SpanningBasis::from_raw(7, 3, 2, &[0; 4], vec![0.0; 5]).is_none());
         assert!(SpanningBasis::from_raw(7, 3, 2, &[0; 5], vec![f64::NAN; 5]).is_none());
     }
+
+    #[test]
+    fn from_raw_is_total() {
+        use quickprop::{check, Config, Gen};
+
+        // Small, huge, and overflow-adjacent dimensions.
+        fn dim(g: &mut Gen) -> usize {
+            match g.usize_in(0..4) {
+                0 => g.usize_in(0..6),
+                1 => usize::MAX - g.usize_in(0..3),
+                2 => g.u64() as usize,
+                _ => g.usize_in(0..1 << 20),
+            }
+        }
+        check(
+            "SpanningBasis::from_raw is total",
+            Config::default().with_cases(512).with_seed(0xBA515),
+            |g| {
+                let consistent = g.bool(0.5);
+                let (num_nodes, num_real) = if consistent {
+                    (g.usize_in(0..6), g.usize_in(0..6))
+                } else {
+                    (dim(g), dim(g))
+                };
+                let len = |g: &mut Gen| {
+                    if consistent {
+                        num_nodes + num_real
+                    } else {
+                        g.usize_in(0..12)
+                    }
+                };
+                let states_len = len(g);
+                let flows_len = len(g);
+                let states = (0..states_len)
+                    .map(|_| g.usize_in(0..5) as u8)
+                    .collect::<Vec<u8>>();
+                let flows = (0..flows_len)
+                    .map(|_| match g.usize_in(0..8) {
+                        0 => f64::NAN,
+                        1 => f64::NEG_INFINITY,
+                        _ => g.f64_in(-4.0, 4.0),
+                    })
+                    .collect::<Vec<f64>>();
+                (g.u64(), num_nodes, num_real, states, flows)
+            },
+            |(topology, num_nodes, num_real, states, flows)| {
+                let Some(basis) = SpanningBasis::from_raw(
+                    *topology,
+                    *num_nodes,
+                    *num_real,
+                    states,
+                    flows.clone(),
+                ) else {
+                    return Ok(());
+                };
+                // Accepted parts round-trip exactly.
+                let intact = basis.topology() == *topology
+                    && basis.num_nodes() == *num_nodes
+                    && basis.num_real_arcs() == *num_real
+                    && basis.state_bytes() == *states
+                    && basis.flows() == flows.as_slice()
+                    && flows.iter().all(|flow| flow.is_finite());
+                if intact {
+                    Ok(())
+                } else {
+                    Err("accepted parts do not round-trip".to_string())
+                }
+            },
+        );
+    }
 }

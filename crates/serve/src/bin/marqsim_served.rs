@@ -9,15 +9,16 @@
 //!   runs jobs itself. Admission
 //!   bounds: `MARQSIM_SERVE_MAX_IN_FLIGHT` per connection,
 //!   `MARQSIM_MAX_ACTIVE_JOBS` engine-wide across all connections.
-//!   `MARQSIM_SERVE_IDLE_TIMEOUT_MS` (unset = never) reaps connections
-//!   that send no request bytes for that long, cancelling whatever they
-//!   left running.
 //! * **router**: `--route node1:port,node2:port,...` (or `MARQSIM_ROUTE`)
 //!   runs no engine at all — it forwards every `submit` to the fleet node
 //!   owning the workload's Hamiltonian fingerprint on a consistent-hash
 //!   ring, relays events back with job ids translated, aggregates `stats`
 //!   across the fleet, and fails jobs on dead nodes with the structured
 //!   `node_lost` kind. See `docs/cluster.md`.
+//!
+//! In both roles, `MARQSIM_SERVE_IDLE_TIMEOUT_MS` (unset = never) reaps
+//! client connections that send no request bytes for that long,
+//! cancelling whatever they left running.
 //!
 //! `MARQSIM_SERVE_TOKEN` sets a shared secret: clients (and a router's
 //! upstream connections) must present it via the `auth` verb before any
@@ -125,6 +126,9 @@ fn main() {
         std::process::exit(2);
     }
 
+    let idle_timeout = positive_env("MARQSIM_SERVE_IDLE_TIMEOUT_MS", "millisecond timeout")
+        .map(|ms| std::time::Duration::from_millis(ms as u64));
+
     if let Some(nodes) = route_nodes() {
         let mut router = match Router::bind(&addr, &nodes) {
             Ok(router) => router,
@@ -135,6 +139,9 @@ fn main() {
         };
         if let Some(token) = token {
             router = router.with_token(token);
+        }
+        if let Some(timeout) = idle_timeout {
+            router = router.with_idle_timeout(timeout);
         }
         match router.local_addr() {
             Ok(bound) => println!(
@@ -171,7 +178,6 @@ fn main() {
 
     let max_in_flight = positive_env("MARQSIM_SERVE_MAX_IN_FLIGHT", "in-flight job bound");
     let max_active_jobs = positive_env("MARQSIM_MAX_ACTIVE_JOBS", "engine-wide job bound");
-    let idle_timeout_ms = positive_env("MARQSIM_SERVE_IDLE_TIMEOUT_MS", "millisecond timeout");
 
     let engine = Arc::new(Engine::new(config));
     let mut server = match Server::bind(&addr, engine) {
@@ -190,8 +196,8 @@ fn main() {
     if let Some(limit) = max_active_jobs {
         server = server.with_max_active_jobs(limit);
     }
-    if let Some(ms) = idle_timeout_ms {
-        server = server.with_idle_timeout(std::time::Duration::from_millis(ms as u64));
+    if let Some(timeout) = idle_timeout {
+        server = server.with_idle_timeout(timeout);
     }
     match server.local_addr() {
         Ok(bound) => println!(

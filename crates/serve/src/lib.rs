@@ -17,12 +17,13 @@
 //!   one JSON object per `\n`-terminated line in each direction. `u64`
 //!   ids/seeds are exact; finite floats use shortest-round-trip encoding,
 //!   so results cross the wire **bit-identically**.
-//! * [`protocol`] — typed [`Request`] verbs (`submit`, `status`, `cancel`,
-//!   `stats`, `metrics`) and [`Event`] streams (`hello`, `submitted`,
-//!   `busy`, `progress`, `done`, `failed`, `status`, `stats`, `metrics`,
-//!   `error`). The `metrics` verb (protocol v4) answers with the
-//!   process-wide Prometheus-style exposition from `marqsim-obs` plus the
-//!   connection's own request/byte counters — see `docs/observability.md`.
+//! * [`protocol`] — typed [`Request`] verbs (`auth`, `submit`, `status`,
+//!   `cancel`, `stats`, `metrics`, `drain`) and [`Event`] streams
+//!   (`hello`, `auth_ok`, `submitted`, `busy`, `progress`, `done`,
+//!   `failed`, `status`, `stats`, `draining`, `metrics`, `error`). The
+//!   `metrics` verb answers with the process-wide Prometheus-style
+//!   exposition from `marqsim-obs` plus the connection's own request/byte
+//!   counters — see `docs/observability.md`.
 //! * [`registry`] — the open end of the protocol: `submit` names a
 //!   workload *kind* plus a params object, and the
 //!   [`WorkloadRegistry`] maps kinds to decoders/encoders. The four
@@ -30,9 +31,16 @@
 //!   `benchmark_suite`) cover the evaluation; custom
 //!   [`Workload`](marqsim_engine::Workload)s register new kinds with **no
 //!   protocol surgery**.
-//! * [`server`] — the TCP accept loop; one reader/writer thread pair per
-//!   connection over the shared [`Engine`](marqsim_engine::Engine), with
+//! * `conn` (internal) — the connection core both roles run on: one
+//!   event-loop thread per endpoint, a phase state machine per client
+//!   connection (`AwaitAuth → Ready → Closing`), bounded outbound queues
+//!   with progress coalescing and slow-consumer disconnects, the idle
+//!   timeout, the auth gate, and the `marqsim_serve_*` instruments.
+//! * [`server`] — the node role: the verbs over the shared
+//!   [`Engine`](marqsim_engine::Engine), with engine-wide and
 //!   per-connection admission control.
+//! * [`router`] — the router role: the same verbs routed across a fleet
+//!   of nodes by Hamiltonian fingerprint (see `docs/cluster.md`).
 //! * [`client`] — a blocking client used by the tests, the `serve_smoke`
 //!   binary, and the `serve_roundtrip` example.
 //!
@@ -57,10 +65,11 @@
 //! * `MARQSIM_MAX_ACTIVE_JOBS=N` — engine-wide active-job bound across
 //!   **all** connections (unset = unlimited); submits over it bounce with
 //!   the structured `busy` event, and the bound is surfaced in `stats`.
-//! * `MARQSIM_SERVE_IDLE_TIMEOUT_MS=N` — reap connections that send no
-//!   request bytes for `N` milliseconds: their unfinished jobs are
-//!   cancelled and a structured `error` event precedes the close (unset =
-//!   never reap; in-process: [`Server::with_idle_timeout`]).
+//! * `MARQSIM_SERVE_IDLE_TIMEOUT_MS=N` — in either role, reap client
+//!   connections that send no request bytes for `N` milliseconds: their
+//!   unfinished jobs are cancelled and a structured `error` event precedes
+//!   the close (unset = never reap; in-process:
+//!   [`Server::with_idle_timeout`] / [`Router::with_idle_timeout`]).
 //! * The engine cache variables (`MARQSIM_CACHE`, `MARQSIM_CACHE_CAP`,
 //!   `MARQSIM_CACHE_DIR`) apply unchanged.
 //!
@@ -97,6 +106,7 @@
 //! ```
 
 pub mod client;
+mod conn;
 pub mod protocol;
 pub mod registry;
 pub mod router;
@@ -120,7 +130,10 @@ mod tests {
     use marqsim_core::TransitionStrategy;
     use marqsim_engine::{Engine, EngineConfig, SubmitOptions};
     use marqsim_pauli::Hamiltonian;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     fn ham() -> Hamiltonian {
         Hamiltonian::parse("0.9 ZZZZ + 0.7 XXII + 0.5 IYYI + 0.3 IIZZ").unwrap()
@@ -156,10 +169,37 @@ mod tests {
         }
     }
 
-    /// Spawns a server whose registry carries the built-ins plus the
-    /// `block` kind, with `configure` applied to the server before spawn.
-    fn spawn_server_with(threads: usize, configure: impl FnOnce(Server) -> Server) -> ServerHandle {
-        let engine = Arc::new(Engine::new(EngineConfig::default().with_threads(threads)));
+    /// A workload that reports each of its units as a progress step, in
+    /// bursts of 32 a millisecond apart: a node relays each burst before
+    /// the next, so progress reaches a router step by step instead of
+    /// pre-coalesced by the node.
+    struct Steps(String, usize);
+
+    impl marqsim_engine::Workload for Steps {
+        fn label(&self) -> &str {
+            &self.0
+        }
+
+        fn total_units(&self) -> usize {
+            self.1
+        }
+
+        fn run(
+            &self,
+            ctx: &marqsim_engine::WorkloadCtx<'_>,
+        ) -> Result<marqsim_engine::WorkloadOutput, marqsim_engine::EngineError> {
+            for step in 1..=self.1 {
+                ctx.report(step, self.1);
+                if step % 32 == 0 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            Ok(marqsim_engine::WorkloadOutput::new(()))
+        }
+    }
+
+    /// The built-ins plus the `block` kind.
+    fn test_registry() -> WorkloadRegistry {
         let mut registry = WorkloadRegistry::builtin();
         registry.register(
             "block",
@@ -169,13 +209,125 @@ mod tests {
             },
             |_output| Ok(Json::obj([("kind", "block".into())])),
         );
+        registry
+    }
+
+    /// Spawns a server whose registry carries the built-ins plus the
+    /// `block` kind, with `configure` applied to the server before spawn.
+    fn spawn_server_with(threads: usize, configure: impl FnOnce(Server) -> Server) -> ServerHandle {
+        let engine = Arc::new(Engine::new(EngineConfig::default().with_threads(threads)));
         configure(
             Server::bind("127.0.0.1:0", engine)
                 .expect("bind")
-                .with_registry(registry),
+                .with_registry(test_registry()),
         )
         .spawn()
         .expect("spawn")
+    }
+
+    /// The endpoint a lifecycle test talks to: a node, or a one-node fleet
+    /// behind a router.
+    struct Front {
+        node: ServerHandle,
+        router: Option<RouterHandle>,
+    }
+
+    impl Front {
+        fn addr(&self) -> std::net::SocketAddr {
+            self.router
+                .as_ref()
+                .map_or(self.node.addr(), RouterHandle::addr)
+        }
+
+        fn connect(&self, token: Option<&str>) -> Client {
+            Client::connect_with_token(self.addr(), token).unwrap()
+        }
+
+        /// Polls the node's engine until it runs exactly `n` jobs.
+        fn wait_active_jobs(&self, n: usize) {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while self.node.engine().active_jobs() != n {
+                assert!(Instant::now() < deadline, "the node never ran {n} jobs");
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        }
+
+        fn shutdown(self) {
+            if let Some(router) = self.router {
+                router.shutdown();
+            }
+            self.node.shutdown();
+        }
+    }
+
+    /// Spawns a `role` endpoint whose node also knows the `steps` kind.
+    /// `token` guards every hop; `idle` applies to the endpoint clients
+    /// talk to (a router's node keeps its upstream connection).
+    fn spawn_front(role: Role, token: Option<&'static str>, idle: Option<Duration>) -> Front {
+        let node = |idle: Option<Duration>| {
+            spawn_server_with(2, |server| {
+                let mut registry = test_registry();
+                registry.register(
+                    "steps",
+                    |label, params| {
+                        let steps = params.get("steps").and_then(Json::as_u64).unwrap_or(1);
+                        Ok(Box::new(Steps(label.to_string(), steps as usize))
+                            as Box<dyn marqsim_engine::Workload>)
+                    },
+                    |_output| Ok(Json::obj([("kind", "steps".into())])),
+                );
+                let mut server = server.with_registry(registry);
+                if let Some(token) = token {
+                    server = server.with_token(token);
+                }
+                match idle {
+                    Some(idle) => server.with_idle_timeout(idle),
+                    None => server,
+                }
+            })
+        };
+        if role == Role::Node {
+            return Front {
+                node: node(idle),
+                router: None,
+            };
+        }
+        let node = node(None);
+        let mut router = Router::bind("127.0.0.1:0", &[node.addr().to_string()]).unwrap();
+        if let Some(token) = token {
+            router = router.with_token(token);
+        }
+        if let Some(idle) = idle {
+            router = router.with_idle_timeout(idle);
+        }
+        let front = Front {
+            node,
+            router: Some(router.spawn().unwrap()),
+        };
+        wait_for_fleet(&mut front.connect(token), 1);
+        front
+    }
+
+    /// A raw protocol connection to `front`, past its `hello`. Reads time
+    /// out, so a missing event fails the test instead of hanging it.
+    fn raw_connect(front: &Front) -> (TcpStream, BufReader<TcpStream>) {
+        let raw = TcpStream::connect(front.addr()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let mut reader = BufReader::new(raw.try_clone().unwrap());
+        let hello = read_until(&mut reader, |_| true);
+        assert!(hello.contains("hello"), "{hello}");
+        (raw, reader)
+    }
+
+    /// Reads lines until one satisfies `done`, and returns it.
+    fn read_until(reader: &mut BufReader<TcpStream>, done: impl Fn(&str) -> bool) -> String {
+        loop {
+            let mut line = String::new();
+            assert!(reader.read_line(&mut line).unwrap() > 0, "unexpected EOF");
+            if done(&line) {
+                return line;
+            }
+        }
     }
 
     /// Cancels the blocking job and consumes its `cancelled` terminal
@@ -504,10 +656,17 @@ mod tests {
         server.shutdown();
     }
 
-    #[test]
-    fn metrics_verb_reports_exposition_and_connection_counters() {
-        let server = spawn_server(2);
-        let mut client = Client::connect(server.addr()).unwrap();
+    /// The value of one exposed series (`name{labels}`), 0 when absent.
+    fn exposed(exposition: &str, series: &str) -> f64 {
+        exposition
+            .lines()
+            .find_map(|line| line.strip_prefix(series)?.strip_prefix(' '))
+            .map_or(0.0, |value| value.trim().parse().unwrap())
+    }
+
+    fn metrics_verb(role: Role) {
+        let front = spawn_front(role, None, None);
+        let mut client = front.connect(None);
 
         // A min-cost-flow workload so the flow histograms have samples.
         let job = client
@@ -552,7 +711,23 @@ mod tests {
                 report.exposition
             );
         }
-        server.shutdown();
+
+        // The endpoint the client talks to counts its own requests and
+        // bytes, whichever role it plays (counters only grow, so parallel
+        // tests cannot make these fail).
+        let series = "marqsim_serve_requests_total{verb=\"metrics\"}";
+        let again = client.metrics().unwrap();
+        assert!(
+            exposed(&again.exposition, series) >= exposed(&report.exposition, series) + 1.0,
+            "the {role:?} did not count its metrics request"
+        );
+        let written = "marqsim_serve_bytes_written_total";
+        assert!(
+            exposed(&again.exposition, written)
+                >= exposed(&report.exposition, written) + report.bytes_out as f64 / 2.0,
+            "the {role:?} did not count the bytes it wrote"
+        );
+        front.shutdown();
     }
 
     #[test]
@@ -612,31 +787,24 @@ mod tests {
         server.shutdown();
     }
 
-    #[test]
-    fn malformed_requests_keep_the_connection_alive() {
-        let server = spawn_server(1);
-        let mut client = Client::connect(server.addr()).unwrap();
-        // Protocol errors surface on the next read...
-        use std::io::Write;
+    fn malformed_requests(role: Role) {
+        let front = spawn_front(role, None, None);
+        let mut client = front.connect(None);
         // Reach into the protocol: an invalid verb and invalid JSON.
-        let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
-        {
-            use std::io::{BufRead, BufReader};
-            let mut reader = BufReader::new(raw.try_clone().unwrap());
-            let mut hello = String::new();
-            reader.read_line(&mut hello).unwrap();
-            assert!(hello.contains("hello"));
-            raw.write_all(b"this is not json\n").unwrap();
-            let mut error_line = String::new();
-            reader.read_line(&mut error_line).unwrap();
-            assert!(error_line.contains("\"error\""), "{error_line}");
-            raw.write_all(br#"{"verb":"submit","label":"x","kind":"sweep","params":{"hamiltonian":"not a ham","strategy":{"kind":"qdrift"},"config":{"time":0.5,"epsilons":[0.1],"repeats":1,"base_seed":1,"evaluate_fidelity":false}}}"#).unwrap();
-            raw.write_all(b"\n").unwrap();
-            let mut error_line = String::new();
-            reader.read_line(&mut error_line).unwrap();
-            assert!(error_line.contains("invalid hamiltonian"), "{error_line}");
-        }
-        // The well-behaved client still works against the same server.
+        let (mut raw, mut reader) = raw_connect(&front);
+        raw.write_all(b"this is not json\n").unwrap();
+        let mut error_line = String::new();
+        reader.read_line(&mut error_line).unwrap();
+        assert!(error_line.contains("\"error\""), "{error_line}");
+        raw.write_all(br#"{"verb":"submit","label":"x","kind":"sweep","params":{"hamiltonian":"not a ham","strategy":{"kind":"qdrift"},"config":{"time":0.5,"epsilons":[0.1],"repeats":1,"base_seed":1,"evaluate_fidelity":false}}}"#).unwrap();
+        raw.write_all(b"\n").unwrap();
+        // A node rejects the submit with `error`; a router has already
+        // acked it, so the node's rejection arrives as `failed`.
+        let rejection = read_until(&mut reader, |line| {
+            line.contains("\"error\"") || line.contains("\"failed\"")
+        });
+        assert!(rejection.contains("invalid hamiltonian"), "{rejection}");
+        // The well-behaved client still works against the same endpoint.
         let job = client
             .submit_sweep(
                 "t/after-errors",
@@ -646,30 +814,22 @@ mod tests {
             )
             .unwrap();
         assert!(client.wait(job).is_ok());
-        server.shutdown();
+        front.shutdown();
     }
 
-    #[test]
-    fn idle_connections_are_reaped_and_their_jobs_cancelled() {
-        use std::io::{BufRead, BufReader, Write};
-        let server = spawn_server_with(2, |server| {
-            server.with_idle_timeout(std::time::Duration::from_millis(200))
-        });
+    fn idle_reaping(role: Role) {
+        let front = spawn_front(role, None, Some(Duration::from_millis(200)));
 
         // A half-open client: submits a blocker, then goes silent (never
         // writes again). Inbound bytes are the only activity that counts,
         // so running jobs do not keep the connection alive.
-        let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
-        let mut reader = BufReader::new(raw.try_clone().unwrap());
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert!(line.contains("hello"), "{line}");
+        let (mut raw, mut reader) = raw_connect(&front);
         raw.write_all(b"{\"verb\":\"submit\",\"label\":\"t/idle-blocker\",\"kind\":\"block\",\"params\":{}}\n")
             .unwrap();
-        line.clear();
+        let mut line = String::new();
         reader.read_line(&mut line).unwrap();
         assert!(line.contains("submitted"), "{line}");
-        assert_eq!(server.engine().active_jobs(), 1);
+        front.wait_active_jobs(1);
 
         // The reaper tells us why before closing, then the stream ends.
         line.clear();
@@ -682,33 +842,25 @@ mod tests {
         assert_eq!(reader.read_line(&mut line).unwrap(), 0, "expected EOF");
 
         // The blocker was cancelled by the reap, not abandoned.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while server.engine().active_jobs() != 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "reaped connection's job was never cancelled"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
+        front.wait_active_jobs(0);
 
         // A connection that keeps talking is not reaped: the idle deadline
         // is pushed out by every request.
-        let mut client = Client::connect(server.addr()).unwrap();
+        let mut client = front.connect(None);
         for _ in 0..4 {
-            std::thread::sleep(std::time::Duration::from_millis(120));
+            std::thread::sleep(Duration::from_millis(120));
             let stats = client.stats().unwrap();
             assert_eq!(stats.active_jobs, 0);
         }
-        server.shutdown();
+        front.shutdown();
     }
 
-    #[test]
-    fn auth_token_gates_non_loopback_grade_servers() {
-        let server = spawn_server_with(1, |server| server.with_token("fleet-secret"));
+    fn auth_gate(role: Role) {
+        let front = spawn_front(role, Some("fleet-secret"), None);
 
         // No token: the hello advertises auth and the client refuses to
         // proceed rather than trip the server's rejection.
-        match Client::connect(server.addr()) {
+        match Client::connect(front.addr()) {
             Err(ClientError::Protocol(message)) => {
                 assert!(message.contains("requires authentication"), "{message}");
             }
@@ -717,7 +869,7 @@ mod tests {
         }
 
         // A wrong token is rejected server-side with a structured error.
-        match Client::connect_with_token(server.addr(), Some("wrong")) {
+        match Client::connect_with_token(front.addr(), Some("wrong")) {
             Err(ClientError::Protocol(message)) => {
                 assert!(message.contains("authentication failed"), "{message}");
             }
@@ -726,7 +878,7 @@ mod tests {
         }
 
         // The right token unlocks normal service end to end.
-        let mut client = Client::connect_with_token(server.addr(), Some("fleet-secret")).unwrap();
+        let mut client = front.connect(Some("fleet-secret"));
         let job = client
             .submit_sweep(
                 "t/authed",
@@ -736,7 +888,118 @@ mod tests {
             )
             .unwrap();
         assert!(client.wait(job).is_ok());
-        server.shutdown();
+        front.shutdown();
+    }
+
+    fn slow_consumer(role: Role) {
+        let front = spawn_front(role, None, None);
+        let (mut raw, mut reader) = raw_connect(&front);
+        raw.write_all(
+            b"{\"verb\":\"submit\",\"label\":\"t/slow\",\"kind\":\"block\",\"params\":{}}\n",
+        )
+        .unwrap();
+        read_until(&mut reader, |line| line.contains("submitted"));
+        front.wait_active_jobs(1);
+
+        // Pipeline far more answers than the socket buffers and the
+        // outbound caps hold, reading nothing. Status of an unknown job is
+        // answered locally by either role. The endpoint keeps reading (and
+        // dropping) input while it disconnects, so this write completes.
+        let burst = b"{\"verb\":\"status\",\"job\":999999999}\n".repeat(200_000);
+        raw.write_all(&burst).unwrap();
+
+        // Whatever made it into the socket buffers, then the structured
+        // slow-consumer error naming the limits, then EOF.
+        let error = read_until(&mut reader, |line| !line.contains("\"status\""));
+        assert!(
+            error.contains("slow consumer, limit 8192 events"),
+            "expected the slow-consumer error, got {error:?}"
+        );
+        let mut line = String::new();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "expected EOF");
+        // Its running job was cancelled, not abandoned.
+        front.wait_active_jobs(0);
+        front.shutdown();
+    }
+
+    fn progress_coalescing(role: Role) {
+        // More progress bytes than the socket buffers hold, and more lines
+        // than the outbound cap: without coalescing this reader would be
+        // disconnected as a slow consumer.
+        const STEPS: u64 = 100_000;
+        let front = spawn_front(role, None, None);
+        let (mut raw, mut reader) = raw_connect(&front);
+        let submit = format!(
+            "{{\"verb\":\"submit\",\"label\":\"t/steps\",\"kind\":\"steps\",\"params\":{{\"steps\":{STEPS}}}}}\n"
+        );
+        raw.write_all(submit.as_bytes()).unwrap();
+        read_until(&mut reader, |line| line.contains("submitted"));
+        // Read nothing until the job has emitted every step.
+        front.wait_active_jobs(0);
+
+        let mut progress_events = 0u64;
+        let mut last = (0, 0);
+        let terminal = loop {
+            let mut line = String::new();
+            assert!(reader.read_line(&mut line).unwrap() > 0, "EOF before done");
+            match Event::decode(line.trim()).unwrap() {
+                Event::Progress {
+                    completed, total, ..
+                } => {
+                    progress_events += 1;
+                    last = (completed, total);
+                }
+                other => break other,
+            }
+        };
+        assert!(
+            progress_events < STEPS,
+            "a reader that fell behind got all {progress_events} steps"
+        );
+        assert_eq!(
+            last,
+            (STEPS as usize, STEPS as usize),
+            "newest progress wins"
+        );
+        assert!(matches!(terminal, Event::Done { .. }), "{terminal:?}");
+        front.shutdown();
+    }
+
+    // Each lifecycle test runs once per role: against a node directly, and
+    // against a one-node fleet behind a router.
+    macro_rules! per_role {
+        ($($body:ident: $node:ident, $router:ident;)*) => {$(
+            #[test]
+            fn $node() {
+                $body(Role::Node)
+            }
+
+            #[test]
+            fn $router() {
+                $body(Role::Router)
+            }
+        )*};
+    }
+
+    per_role! {
+        malformed_requests:
+            malformed_requests_keep_the_connection_alive,
+            router_malformed_requests_keep_the_connection_alive;
+        auth_gate:
+            auth_token_gates_non_loopback_grade_servers,
+            router_auth_token_gates_non_loopback_grade_servers;
+        metrics_verb:
+            metrics_verb_reports_exposition_and_connection_counters,
+            router_metrics_verb_reports_exposition_and_connection_counters;
+        idle_reaping:
+            idle_connections_are_reaped_and_their_jobs_cancelled,
+            router_idle_connections_are_reaped_and_their_jobs_cancelled;
+        slow_consumer:
+            slow_consumers_get_an_error_then_eof_and_their_jobs_cancelled,
+            router_slow_consumers_get_an_error_then_eof_and_their_jobs_cancelled;
+        progress_coalescing:
+            progress_coalesces_for_a_reader_that_falls_behind,
+            router_progress_coalesces_for_a_reader_that_falls_behind;
     }
 
     /// Spawns `n` node servers (each with the `block` kind registered)

@@ -413,3 +413,93 @@ fn a_fidelity_batch_computes_each_exact_unitary_once() {
         .count();
     assert_eq!(computations, 2, "one pool task per distinct (H, t)");
 }
+
+#[test]
+fn connection_spans_record_why_each_connection_closed() {
+    use marqsim::serve::{Client, Router, Server};
+    use std::io::{BufRead, BufReader, Write};
+    use std::time::{Duration, Instant};
+
+    const TOKEN: &str = "span-secret";
+    let _guard = SINK_GUARD.lock().unwrap_or_else(PoisonError::into_inner);
+    let buffer = trace::install_memory_sink();
+    let idle = Duration::from_millis(150);
+
+    // Both roles share one connection core, so both must account for a
+    // closed connection the same way. Behind a router, the router is the
+    // endpoint under test: its node has no idle timeout, and the node's
+    // span for the router's upstream connection only comes at shutdown.
+    for routed in [false, true] {
+        let engine = Arc::new(Engine::new(EngineConfig::default().with_threads(1)));
+        let node = Server::bind("127.0.0.1:0", engine)
+            .unwrap()
+            .with_token(TOKEN);
+        let node = if routed {
+            node
+        } else {
+            node.with_idle_timeout(idle)
+        }
+        .spawn()
+        .unwrap();
+        let router = routed.then(|| {
+            Router::bind("127.0.0.1:0", &[node.addr().to_string()])
+                .unwrap()
+                .with_token(TOKEN)
+                .with_idle_timeout(idle)
+                .spawn()
+                .unwrap()
+        });
+        let addr = router.as_ref().map_or(node.addr(), |router| router.addr());
+        buffer
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+
+        // Authenticated, then silent until the idle reaper closes it.
+        let mut silent = std::net::TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(silent.try_clone().unwrap());
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        silent
+            .write_all(format!("{{\"verb\":\"auth\",\"token\":\"{TOKEN}\"}}\n").as_bytes())
+            .unwrap();
+        for expected in ["auth_ok", "idle timeout"] {
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.contains(expected), "{line}");
+        }
+        drop((silent, reader));
+        // Rejected at the auth gate.
+        assert!(Client::connect_with_token(addr, Some("wrong")).is_err());
+        // Served, then hung up cleanly.
+        Client::connect_with_token(addr, Some(TOKEN))
+            .unwrap()
+            .metrics()
+            .unwrap();
+
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut reasons = loop {
+            let reasons: Vec<String> = buffer
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .iter()
+                .filter(|l| field(l, "span") == Some("conn"))
+                .map(|l| field(l, "reason").unwrap_or("").to_string())
+                .collect();
+            if reasons.len() >= 3 || Instant::now() > deadline {
+                break reasons;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        reasons.sort();
+        assert_eq!(
+            reasons,
+            ["auth_failed", "eof", "idle_timeout"],
+            "routed={routed}"
+        );
+        if let Some(router) = router {
+            router.shutdown();
+        }
+        node.shutdown();
+    }
+}
