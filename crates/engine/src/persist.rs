@@ -497,55 +497,93 @@ mod tests {
         let (matrix, basis) = gate_cancellation_matrix_with_basis(&ham).unwrap();
         let good = encode(fp, &ham, &matrix, &basis);
         assert!(decode(&good, fp, &ham).is_some());
-        for at in [
-            good.len() - 8 - 8,
-            good.len() - 8 - basis_section_len(&basis) - 8,
-        ] {
-            let mut flipped = good.clone();
-            flipped[at] ^= 1;
-            assert!(decode(&flipped, fp, &ham).is_none(), "bit flip at {at}");
+        for at in 0..good.len() {
+            for bit in 0..8 {
+                let mut flipped = good.clone();
+                flipped[at] ^= 1 << bit;
+                assert!(
+                    decode(&flipped, fp, &ham).is_none(),
+                    "bit {bit} flipped at {at}"
+                );
+            }
+        }
+    }
+
+    /// A mangled copy of `good`: a valid prefix followed by arbitrary
+    /// bytes (prefix 0 is arbitrary bytes), a truncation, one byte
+    /// changed anywhere, or now and then `good` itself.
+    fn mangled(g: &mut quickprop::Gen, good: &[u8]) -> Vec<u8> {
+        match g.usize_in(0..3) {
+            0 => {
+                let mut bytes = good[..g.usize_in(0..good.len())].to_vec();
+                bytes.extend(g.vec_of(0..64, |g| g.u64() as u8));
+                bytes
+            }
+            1 if g.bool(0.2) => good.to_vec(),
+            1 => good[..g.usize_in(0..good.len())].to_vec(),
+            _ => {
+                let mut bytes = good.to_vec();
+                let at = g.usize_in(0..bytes.len());
+                bytes[at] = g.u64() as u8;
+                bytes
+            }
         }
     }
 
     #[test]
-    fn decode_is_total_and_accepted_bases_reach_the_cold_optimum() {
+    fn decode_is_total_behind_a_valid_checksum() {
+        use quickprop::{check, Config};
+
+        // Re-sealed, every mangled input gets past the checksum, so the
+        // section parsers and `SpanningBasis::from_raw` see the garbage.
+        // They may accept or refuse it, but must return.
+        let ham = ham();
+        let fp = hamiltonian_fingerprint(&ham);
+        let (matrix, basis) = gate_cancellation_matrix_with_basis(&ham).unwrap();
+        let good = encode(fp, &ham, &matrix, &basis);
+        check(
+            "persist decode is total",
+            Config::default().with_cases(512).with_seed(0xDEC0DE),
+            |g| {
+                let mut bytes = mangled(g, &good);
+                if bytes.len() >= 8 {
+                    reseal(&mut bytes);
+                }
+                bytes
+            },
+            |bytes| {
+                let _ = decode(bytes, fp, &ham);
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn only_the_intact_file_decodes_and_its_basis_reaches_the_cold_optimum() {
         use marqsim_core::gate_cancel::{
             cnot_cost_matrix, matrix_from_costs_warm, matrix_from_costs_with_basis,
         };
         use quickprop::{check, Config};
 
+        // Without a re-seal, the checksum turns away every change: a
+        // changed basis flow can pass the semantic checks and warm-start
+        // to an infeasible optimum, so nothing but the saved file may load.
         let ham = ham();
         let fp = hamiltonian_fingerprint(&ham);
         let costs = cnot_cost_matrix(&ham);
         let (matrix, cold, basis) = matrix_from_costs_with_basis(&ham, &costs).unwrap();
         let good = encode(fp, &ham, &matrix, &basis);
         check(
-            "persist decode is total",
+            "persist decode accepts only the intact file",
             Config::default().with_cases(256).with_seed(0xDEC0DE),
-            |g| match g.usize_in(0..3) {
-                // A valid prefix followed by arbitrary bytes, so every
-                // section sees garbage (prefix 0 is arbitrary bytes).
-                0 => {
-                    let mut bytes = good[..g.usize_in(0..good.len())].to_vec();
-                    bytes.extend(g.vec_of(0..64, |g| g.u64() as u8));
-                    bytes
-                }
-                // A truncation, or now and then the valid file itself.
-                1 if g.bool(0.2) => good.clone(),
-                1 => good[..g.usize_in(0..good.len())].to_vec(),
-                // One byte changed anywhere.
-                _ => {
-                    let mut bytes = good.clone();
-                    let at = g.usize_in(0..bytes.len());
-                    bytes[at] = g.u64() as u8;
-                    bytes
-                }
-            },
+            |g| mangled(g, &good),
             |bytes| {
                 let Some((_, loaded)) = decode(bytes, fp, &ham) else {
                     return Ok(());
                 };
-                // An accepted basis may only ever speed the solve up.
+                if *bytes != good {
+                    return Err("a changed file decoded".to_string());
+                }
                 let (_, warm) =
                     matrix_from_costs_warm(&ham, &costs, &loaded).map_err(|e| e.to_string())?;
                 if (warm.cost - cold.cost).abs() > 1e-9 {

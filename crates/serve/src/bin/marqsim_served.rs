@@ -34,6 +34,13 @@ use marqsim_engine::{Engine, EngineConfig};
 use marqsim_obs::error;
 use marqsim_serve::{Router, Server};
 
+/// Logs `message` and exits with `code`: 2 for a configuration error, 1
+/// for a runtime failure.
+fn fail(code: i32, message: impl std::fmt::Display) -> ! {
+    error!("served", "{message}");
+    std::process::exit(code);
+}
+
 /// A non-empty environment override, trimmed.
 fn env_value(name: &str) -> Option<String> {
     std::env::var(name)
@@ -49,14 +56,13 @@ fn positive_env(name: &str, what: &str) -> Option<usize> {
     let raw = env_value(name)?;
     match raw.parse::<usize>() {
         Ok(n) if n > 0 => Some(n),
-        _ => {
-            error!(
-                "served",
+        _ => fail(
+            2,
+            format_args!(
                 "invalid engine configuration: \
                  {name}={raw:?} is not a positive {what} (unset it for the default)"
-            );
-            std::process::exit(2);
-        }
+            ),
+        ),
     }
 }
 
@@ -69,10 +75,7 @@ fn route_nodes() -> Option<Vec<String>> {
         match args.next() {
             Some(arg) if arg == "--route" => match args.next() {
                 Some(value) => break Some(value),
-                None => {
-                    error!("served", "--route needs a comma-separated node list");
-                    std::process::exit(2);
-                }
+                None => fail(2, "--route needs a comma-separated node list"),
             },
             Some(arg) => {
                 if let Some(value) = arg.strip_prefix("--route=") {
@@ -90,11 +93,12 @@ fn route_nodes() -> Option<Vec<String>> {
         .map(str::to_string)
         .collect();
     if nodes.is_empty() {
-        error!(
-            "served",
-            "router mode needs at least one node ('host:port,host:port,...'), got {raw:?}"
+        fail(
+            2,
+            format_args!(
+                "router mode needs at least one node ('host:port,host:port,...'), got {raw:?}"
+            ),
         );
-        std::process::exit(2);
     }
     Some(nodes)
 }
@@ -118,25 +122,21 @@ fn main() {
     let addr = env_value("MARQSIM_SERVE_ADDR").unwrap_or_else(|| "127.0.0.1:7878".to_string());
     let token = env_value("MARQSIM_SERVE_TOKEN");
     if token.is_none() && !is_loopback(&addr) {
-        error!(
-            "served",
-            "refusing to bind non-loopback address {addr} without a token: \
-             set MARQSIM_SERVE_TOKEN (or bind 127.0.0.1)"
+        fail(
+            2,
+            format_args!(
+                "refusing to bind non-loopback address {addr} without a token: \
+                 set MARQSIM_SERVE_TOKEN (or bind 127.0.0.1)"
+            ),
         );
-        std::process::exit(2);
     }
 
     let idle_timeout = positive_env("MARQSIM_SERVE_IDLE_TIMEOUT_MS", "millisecond timeout")
         .map(|ms| std::time::Duration::from_millis(ms as u64));
 
     if let Some(nodes) = route_nodes() {
-        let mut router = match Router::bind(&addr, &nodes) {
-            Ok(router) => router,
-            Err(cause) => {
-                error!("served", "failed to bind {addr}: {cause}");
-                std::process::exit(1);
-            }
-        };
+        let mut router = Router::bind(&addr, &nodes)
+            .unwrap_or_else(|cause| fail(1, format_args!("failed to bind {addr}: {cause}")));
         if let Some(token) = token {
             router = router.with_token(token);
         }
@@ -152,41 +152,24 @@ fn main() {
             Err(_) => println!("[marqsim-served] routing on {addr}"),
         }
         if let Err(cause) = router.run() {
-            error!("served", "router event loop failed: {cause}");
-            std::process::exit(1);
+            fail(1, format_args!("router event loop failed: {cause}"));
         }
         return;
     }
 
-    let mut config = match EngineConfig::from_env() {
-        Ok(config) => config,
-        Err(cause) => {
-            error!("served", "{cause}");
-            std::process::exit(2);
-        }
-    };
+    let mut config = EngineConfig::from_env().unwrap_or_else(|cause| fail(2, cause));
     if let Some(threads) = env_value("MARQSIM_SERVE_THREADS") {
         // Same strict rule (and diagnostic shape) as MARQSIM_THREADS.
-        match EngineConfig::parse_threads("MARQSIM_SERVE_THREADS", &threads) {
-            Ok(n) => config.threads = n,
-            Err(cause) => {
-                error!("served", "{cause}");
-                std::process::exit(2);
-            }
-        }
+        config.threads = EngineConfig::parse_threads("MARQSIM_SERVE_THREADS", &threads)
+            .unwrap_or_else(|cause| fail(2, cause));
     }
 
     let max_in_flight = positive_env("MARQSIM_SERVE_MAX_IN_FLIGHT", "in-flight job bound");
     let max_active_jobs = positive_env("MARQSIM_MAX_ACTIVE_JOBS", "engine-wide job bound");
 
     let engine = Arc::new(Engine::new(config));
-    let mut server = match Server::bind(&addr, engine) {
-        Ok(server) => server,
-        Err(cause) => {
-            error!("served", "failed to bind {addr}: {cause}");
-            std::process::exit(1);
-        }
-    };
+    let mut server = Server::bind(&addr, engine)
+        .unwrap_or_else(|cause| fail(1, format_args!("failed to bind {addr}: {cause}")));
     if let Some(token) = token {
         server = server.with_token(token);
     }
@@ -208,7 +191,6 @@ fn main() {
         Err(_) => println!("[marqsim-served] listening on {addr}"),
     }
     if let Err(cause) = server.run() {
-        error!("served", "event loop failed: {cause}");
-        std::process::exit(1);
+        fail(1, format_args!("event loop failed: {cause}"));
     }
 }

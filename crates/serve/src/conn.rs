@@ -258,9 +258,15 @@ impl LineIo {
         {
             return Push::Overflow;
         }
+        self.push_uncapped(line, coalesce);
+        Push::Queued
+    }
+
+    /// Queues one line past the hard caps, for a sender that bounds its
+    /// own traffic.
+    pub(crate) fn push_uncapped(&mut self, line: String, coalesce: Option<u64>) {
         self.outbound_bytes += line.len();
         self.outbound.push_back(OutLine { line, coalesce });
-        Push::Queued
     }
 
     /// Drops every queued line but a partially written head (which must
@@ -606,21 +612,30 @@ impl<T: Default> Conns<T> {
         match conn.io.push(line, coalesce) {
             Push::Queued => instruments.outbound_queue_depth.add(1),
             Push::Coalesced => instruments.progress_coalesced.inc(),
-            Push::Overflow => {
-                // Everything queued is dropped for one terminal error.
-                instruments.slow_disconnects.inc();
-                let dropped = conn.io.replace_queue(encode_line(&Event::Error {
-                    message: format!(
-                        "disconnected: outbound queue overflow (slow consumer, limit \
-                         {OUTBOUND_MAX_LINES} events / {OUTBOUND_MAX_BYTES} bytes)"
-                    ),
-                }));
-                instruments.outbound_queue_depth.sub(dropped as i64 - 1);
-                self.begin_close(key.slot, CloseReason::SlowConsumer);
-                return;
-            }
+            Push::Overflow => return self.slow_consumer(key),
         }
         self.mark_dirty(key.slot);
+    }
+
+    /// Disconnects a connection whose traffic outran its reader (its own
+    /// outbound queue, or a router's node link it was filling): everything
+    /// queued is dropped for one terminal error naming the limits.
+    pub(crate) fn slow_consumer(&mut self, key: ConnKey) {
+        let Some(conn) =
+            at(&mut self.slots, key.slot).filter(|conn| conn.gen == key.gen && !conn.closing())
+        else {
+            return;
+        };
+        let instruments = serve_instruments();
+        instruments.slow_disconnects.inc();
+        let dropped = conn.io.replace_queue(encode_line(&Event::Error {
+            message: format!(
+                "disconnected: outbound queue overflow (slow consumer, limit \
+                 {OUTBOUND_MAX_LINES} events / {OUTBOUND_MAX_BYTES} bytes)"
+            ),
+        }));
+        instruments.outbound_queue_depth.sub(dropped as i64 - 1);
+        self.begin_close(key.slot, CloseReason::SlowConsumer);
     }
 
     fn stopping(&self) -> bool {

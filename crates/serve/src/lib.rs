@@ -1002,6 +1002,62 @@ mod tests {
             router_progress_coalesces_for_a_reader_that_falls_behind;
     }
 
+    #[test]
+    fn router_request_floods_cost_their_sender_not_the_node() {
+        let front = spawn_front(Role::Router, None, None);
+        let mut other = front.connect(None);
+        let survivor = other.submit("t/survivor", "block", Json::obj([])).unwrap();
+        front.wait_active_jobs(1);
+
+        let (mut raw, mut reader) = raw_connect(&front);
+        raw.write_all(
+            b"{\"verb\":\"submit\",\"label\":\"t/flood\",\"kind\":\"block\",\"params\":{}}\n",
+        )
+        .unwrap();
+        let submitted = read_until(&mut reader, |line| line.contains("submitted"));
+        let Event::Submitted { job, .. } = Event::decode(submitted.trim()).unwrap() else {
+            panic!("expected submitted, got {submitted:?}");
+        };
+        // Once the node runs the job, its ack is on the link ahead of the
+        // answer to any later request: after one `stats` fan-out the router
+        // knows the node's id for the job and forwards every `status`.
+        front.wait_active_jobs(2);
+        other.stats().unwrap();
+        let status = format!("{{\"verb\":\"status\",\"job\":{job}}}\n");
+
+        // Pipeline far more forwarded requests than a node link queues,
+        // reading nothing: the flooding client is the slow consumer.
+        raw.write_all(&status.as_bytes().repeat(200_000)).unwrap();
+        let error = read_until(&mut reader, |line| !line.contains("\"status\""));
+        assert!(
+            error.contains("slow consumer, limit 8192 events"),
+            "expected the slow-consumer error, got {error:?}"
+        );
+        let mut line = String::new();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "expected EOF");
+
+        // Its job was cancelled; the node stayed up with the other
+        // client's job on it, and keeps serving.
+        front.wait_active_jobs(1);
+        match other.status(survivor).unwrap() {
+            Event::Status {
+                known, finished, ..
+            } => assert!(known && !finished),
+            other => panic!("unexpected {other:?}"),
+        }
+        let job = other
+            .submit_sweep(
+                "t/after-flood",
+                &ham(),
+                &TransitionStrategy::QDrift,
+                &SweepConfig::quick(0.5),
+            )
+            .unwrap();
+        assert!(other.wait(job).is_ok());
+        release_blocker(&mut other, survivor);
+        front.shutdown();
+    }
+
     /// Spawns `n` node servers (each with the `block` kind registered)
     /// and returns their handles plus their `host:port` fleet names.
     fn spawn_fleet(n: usize, token: Option<&'static str>) -> (Vec<ServerHandle>, Vec<String>) {

@@ -242,7 +242,8 @@ enum Phase {
 struct NodeConn {
     name: String,
     /// The socket, with unbounded inbound lines (a node's result payloads
-    /// are trusted) and the usual outbound caps.
+    /// are trusted); its outbound caps bound client traffic only (see
+    /// [`RouterLoop::node_send`]).
     io: Option<LineIo>,
     phase: Phase,
     /// Router job ids whose `submitted`/`busy`/`error` ack is pending, in
@@ -382,13 +383,10 @@ impl Handler for RouterLoop {
     }
 
     fn upstream_ready(&mut self, index: usize, event: &PollEvent) {
-        if self.nodes.get(index).is_none_or(|node| node.io.is_none()) {
+        let Some(io) = self.nodes.get(index).and_then(|node| node.io.as_ref()) else {
             return;
-        }
+        };
         if self.nodes[index].phase == Phase::Connecting && (event.writable || event.closed) {
-            let Some(io) = self.nodes[index].io.as_ref() else {
-                return;
-            };
             match io.stream().connect_result() {
                 // The next flush subscribes the socket to reads.
                 Ok(()) => self.nodes[index].phase = Phase::AwaitHello,
@@ -473,6 +471,15 @@ impl RouterLoop {
         let Some(index) = self.node_index(&owner) else {
             return;
         };
+        let request = Request::Submit {
+            label: label.clone(),
+            kind,
+            params,
+            options,
+        };
+        if !self.node_send(index, &request, Some(conn)) {
+            return;
+        }
         let router_job = self.next_job;
         self.next_job += 1;
         self.jobs.insert(
@@ -490,19 +497,12 @@ impl RouterLoop {
         // nodes. A node-side rejection arrives later as `failed`.
         let event = Event::Submitted {
             job: router_job,
-            label: label.clone(),
+            label,
             node: Some(owner),
         };
         self.conns.push(conn, &event);
         self.nodes[index].awaiting_submit.push_back(router_job);
         self.nodes[index].routed.inc();
-        let request = Request::Submit {
-            label,
-            kind,
-            params,
-            options,
-        };
-        self.node_send(index, &request);
     }
 
     /// Answers `status` (or, with `cancel`, forwards a cancellation) for
@@ -515,15 +515,16 @@ impl RouterLoop {
         match entry.node_job {
             Some(node_job) => {
                 let index = entry.node;
-                self.nodes[index]
-                    .awaiting_status
-                    .push_back(StatusWaiter::Client { down: conn, job });
                 let request = if cancel {
                     Request::Cancel { job: node_job }
                 } else {
                     Request::Status { job: node_job }
                 };
-                self.node_send(index, &request);
+                if self.node_send(index, &request, Some(conn)) {
+                    self.nodes[index]
+                        .awaiting_status
+                        .push_back(StatusWaiter::Client { down: conn, job });
+                }
             }
             // The node's ack is still in flight: the job exists but has
             // made no observable progress; a cancel is forwarded with the
@@ -545,12 +546,11 @@ impl RouterLoop {
             parts: Vec::new(),
         };
         let mut queries: Vec<usize> = Vec::new();
-        for (index, node) in self.nodes.iter_mut().enumerate() {
+        for (index, node) in self.nodes.iter().enumerate() {
             if node.retired {
                 continue;
             }
             if node.phase == Phase::Ready {
-                node.awaiting_stats.push_back(StatsWaiter::Client(id));
                 pending.remaining += 1;
                 queries.push(index);
             } else {
@@ -567,7 +567,15 @@ impl RouterLoop {
         }
         self.pending_stats.insert(id, pending);
         for index in queries {
-            self.node_send(index, &Request::Stats);
+            // A refused client is gone: answers already asked for find no
+            // fan-out and are dropped.
+            if !self.node_send(index, &Request::Stats, Some(conn)) {
+                self.pending_stats.remove(&id);
+                return;
+            }
+            self.nodes[index]
+                .awaiting_stats
+                .push_back(StatsWaiter::Client(id));
         }
     }
 
@@ -664,16 +672,25 @@ impl RouterLoop {
     }
 
     /// Queues one request line to a node (flushed when the loop settles);
-    /// a node that cannot take it (outbound caps) is lost.
-    fn node_send(&mut self, index: usize, request: &Request) {
+    /// `false` if it was refused. A client's request (`from`) over the
+    /// link's caps disconnects that client as a slow consumer, not the node
+    /// and everyone's jobs on it. The router's own requests are bounded by
+    /// the node's jobs in flight and skip the caps, so none is ever lost.
+    fn node_send(&mut self, index: usize, request: &Request, from: Option<ConnKey>) -> bool {
         let Some(io) = self.nodes[index].io.as_mut() else {
-            return;
+            return true;
         };
         let mut line = request.encode();
         line.push('\n');
-        if io.push(line, None) == Push::Overflow {
-            self.node_failed(index, "outbound queue overflow");
+        match from {
+            None => io.push_uncapped(line, None),
+            Some(conn) if io.push(line, None) == Push::Overflow => {
+                self.conns.slow_consumer(conn);
+                return false;
+            }
+            Some(_) => {}
         }
+        true
     }
 
     /// Cancels a node job on the router's own behalf (its submitter is
@@ -682,7 +699,7 @@ impl RouterLoop {
         self.nodes[index]
             .awaiting_status
             .push_back(StatusWaiter::Discard);
-        self.node_send(index, &Request::Cancel { job: node_job });
+        self.node_send(index, &Request::Cancel { job: node_job }, None);
     }
 
     /// The membership schedule says `name` is due: reconnect a dead node,
@@ -707,7 +724,7 @@ impl RouterLoop {
             self.nodes[index]
                 .awaiting_stats
                 .push_back(StatsWaiter::Probe);
-            self.node_send(index, &Request::Stats);
+            self.node_send(index, &Request::Stats, None);
         }
     }
 
@@ -821,7 +838,7 @@ impl RouterLoop {
             "peer is not a node"
         } else if let Some(token) = self.token.clone() {
             self.nodes[index].phase = Phase::AwaitAuthOk;
-            self.node_send(index, &Request::Auth { token });
+            self.node_send(index, &Request::Auth { token }, None);
             return true;
         } else if auth {
             warn!(
@@ -1006,7 +1023,7 @@ impl RouterLoop {
     }
 
     /// The node is gone (connect refused, handshake timeout, probe
-    /// timeout, EOF, protocol violation, outbound overflow): fail
+    /// timeout, EOF, protocol violation): fail
     /// everything in flight on it with the structured `node_lost` kind,
     /// drop it from the ring, and let the membership backoff schedule the
     /// reconnect.
