@@ -1,6 +1,7 @@
 //! The gate set.
 
 use std::fmt;
+use std::ops::Deref;
 
 use marqsim_linalg::{Complex, Matrix};
 
@@ -16,7 +17,7 @@ use marqsim_linalg::{Complex, Matrix};
 ///
 /// let g = Gate::Cnot { control: 0, target: 2 };
 /// assert!(g.is_two_qubit());
-/// assert_eq!(g.qubits(), vec![0, 2]);
+/// assert_eq!(g.qubits()[..], [0, 2]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub enum Gate {
@@ -52,9 +53,10 @@ pub enum Gate {
 }
 
 impl Gate {
-    /// The qubits this gate acts on, in ascending order for two-qubit gates'
-    /// `qubits()` comparison purposes (control listed first for CNOT).
-    pub fn qubits(&self) -> Vec<usize> {
+    /// The qubits this gate acts on: one for single-qubit gates, control
+    /// then target for CNOT, none for a global phase. Returned inline, so
+    /// asking allocates nothing.
+    pub fn qubits(&self) -> Qubits {
         match *self {
             Gate::H(q)
             | Gate::X(q)
@@ -64,9 +66,18 @@ impl Gate {
             | Gate::Sdg(q)
             | Gate::Rx(q, _)
             | Gate::Ry(q, _)
-            | Gate::Rz(q, _) => vec![q],
-            Gate::Cnot { control, target } => vec![control, target],
-            Gate::GlobalPhase(_) => vec![],
+            | Gate::Rz(q, _) => Qubits {
+                qubits: [q, 0],
+                len: 1,
+            },
+            Gate::Cnot { control, target } => Qubits {
+                qubits: [control, target],
+                len: 2,
+            },
+            Gate::GlobalPhase(_) => Qubits {
+                qubits: [0, 0],
+                len: 0,
+            },
         }
     }
 
@@ -152,6 +163,29 @@ impl Gate {
     }
 }
 
+/// The qubits of one [`Gate`] (at most two), stored inline. Reads as a
+/// `&[usize]` and iterates by value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Qubits {
+    qubits: [usize; 2],
+    len: usize,
+}
+
+impl Deref for Qubits {
+    type Target = [usize];
+    fn deref(&self) -> &[usize] {
+        &self.qubits[..self.len]
+    }
+}
+
+impl IntoIterator for Qubits {
+    type Item = usize;
+    type IntoIter = std::iter::Take<std::array::IntoIter<usize, 2>>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.qubits.into_iter().take(self.len)
+    }
+}
+
 impl fmt::Display for Gate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
@@ -176,14 +210,14 @@ mod tests {
 
     #[test]
     fn qubits_and_arity() {
-        assert_eq!(Gate::H(3).qubits(), vec![3]);
+        assert_eq!(Gate::H(3).qubits()[..], [3]);
         assert_eq!(
             Gate::Cnot {
                 control: 1,
                 target: 4
             }
-            .qubits(),
-            vec![1, 4]
+            .qubits()[..],
+            [1, 4]
         );
         assert!(Gate::Cnot {
             control: 0,

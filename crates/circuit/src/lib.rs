@@ -37,5 +37,5 @@ pub mod qasm;
 pub mod synthesis;
 
 pub use circuit::Circuit;
-pub use gate::Gate;
+pub use gate::{Gate, Qubits};
 pub use stats::GateStats;

@@ -22,44 +22,55 @@ use crate::{FermionOperator, LadderOp};
 /// A sum of Pauli strings with complex coefficients — the intermediate
 /// representation of the transform before Hermiticity collapses it to real
 /// coefficients.
-#[derive(Debug, Clone, Default)]
+///
+/// Strings are held in symplectic form, as `(x_mask, z_mask)` pairs (see
+/// [`PauliString::x_mask`]), so a product of two strings is two XORs and a
+/// phase count. A [`PauliString`] is built only when the sum is read.
+#[derive(Debug, Clone)]
 pub struct PauliSum {
-    terms: HashMap<PauliString, Complex>,
+    num_qubits: usize,
+    terms: HashMap<(u64, u64), Complex>,
 }
 
 impl PauliSum {
-    /// The empty (zero) sum.
-    pub fn new() -> Self {
-        PauliSum::default()
+    /// The empty (zero) sum on `num_qubits` qubits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_qubits > 64`.
+    pub fn new(num_qubits: usize) -> Self {
+        assert!(num_qubits <= 64, "Pauli sums support up to 64 qubits");
+        PauliSum {
+            num_qubits,
+            terms: HashMap::new(),
+        }
     }
 
-    /// A sum holding a single weighted string.
-    pub fn single(string: PauliString, coefficient: Complex) -> Self {
-        let mut s = PauliSum::new();
-        s.add(string, coefficient);
-        s
-    }
-
-    /// Adds `coefficient · string` to the sum.
-    pub fn add(&mut self, string: PauliString, coefficient: Complex) {
-        let entry = self.terms.entry(string).or_insert(Complex::ZERO);
+    /// Adds `coefficient` to the string with the given masks.
+    fn add_masks(&mut self, masks: (u64, u64), coefficient: Complex) {
+        let entry = self.terms.entry(masks).or_insert(Complex::ZERO);
         *entry += coefficient;
     }
 
     /// Adds another sum, scaled by `scale`.
     pub fn add_scaled(&mut self, other: &PauliSum, scale: Complex) {
-        for (s, c) in &other.terms {
-            self.add(s.clone(), *c * scale);
+        for (&masks, c) in &other.terms {
+            self.add_masks(masks, *c * scale);
         }
     }
 
     /// Product of two sums (distributing and multiplying the Pauli strings).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sums act on different numbers of qubits.
     pub fn multiply(&self, other: &PauliSum) -> PauliSum {
-        let mut out = PauliSum::new();
-        for (sa, ca) in &self.terms {
-            for (sb, cb) in &other.terms {
-                let (phase, product) = sa.mul(sb);
-                out.add(product, *ca * *cb * phase);
+        assert_eq!(self.num_qubits, other.num_qubits, "qubit count mismatch");
+        let mut out = PauliSum::new(self.num_qubits);
+        for (&a, ca) in &self.terms {
+            for (&b, cb) in &other.terms {
+                let (phase, product) = mul_masks(a, b);
+                out.add_masks(product, *ca * *cb * phase);
             }
         }
         out
@@ -76,9 +87,45 @@ impl PauliSum {
     }
 
     /// Iterator over `(string, coefficient)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&PauliString, &Complex)> {
-        self.terms.iter()
+    pub fn iter(&self) -> impl Iterator<Item = (PauliString, Complex)> + '_ {
+        self.terms
+            .iter()
+            .map(|(&(x, z), &c)| (string_from_masks(self.num_qubits, x, z), c))
     }
+}
+
+/// `a · b = phase · product` for strings in symplectic form: the same phase
+/// value [`PauliString::mul`] accumulates qubit by qubit, `+i` for each
+/// `XY`, `YZ`, `ZX` position and `-i` for each reversed one.
+fn mul_masks((xa, za): (u64, u64), (xb, zb): (u64, u64)) -> (Complex, (u64, u64)) {
+    let (pa_x, pa_y, pa_z) = (xa & !za, xa & za, !xa & za);
+    let (pb_x, pb_y, pb_z) = (xb & !zb, xb & zb, !xb & zb);
+    let cyclic = (pa_x & pb_y) | (pa_y & pb_z) | (pa_z & pb_x);
+    let reversed = (pa_y & pb_x) | (pa_z & pb_y) | (pa_x & pb_z);
+    let phase = match (cyclic.count_ones() + 3 * reversed.count_ones()) % 4 {
+        0 => Complex::ONE,
+        1 => Complex::I,
+        2 => -Complex::ONE,
+        _ => -Complex::I,
+    };
+    (phase, (xa ^ xb, za ^ zb))
+}
+
+fn string_from_masks(num_qubits: usize, x: u64, z: u64) -> PauliString {
+    PauliString::from_ops(
+        (0..num_qubits)
+            .map(|q| PauliOp::from_bits((x >> q) & 1 == 1, (z >> q) & 1 == 1))
+            .collect(),
+    )
+}
+
+/// A key that orders equal-length strings as their text does: two bits per
+/// qubit, highest qubit first, ranking `I < X < Y < Z` like the characters.
+fn text_key(num_qubits: usize, x: u64, z: u64) -> u128 {
+    (0..num_qubits).rev().fold(0u128, |key, q| {
+        let (x, z) = ((x >> q) & 1, (z >> q) & 1);
+        key << 2 | u128::from(2 * z + (x ^ z))
+    })
 }
 
 /// Errors produced by [`transform`].
@@ -115,25 +162,23 @@ impl std::error::Error for JwError {}
 const COEFF_TOL: f64 = 1e-10;
 
 /// The Jordan–Wigner image of a single ladder operator as a [`PauliSum`].
+///
+/// # Panics
+///
+/// Panics if `op.mode >= num_modes` or `num_modes > 64`.
 pub fn ladder_to_pauli(op: LadderOp, num_modes: usize) -> PauliSum {
+    assert!(op.mode < num_modes, "mode {} out of range", op.mode);
     // Z string on qubits 0..mode, X or Y on `mode`, identity above.
-    let mut x_ops = vec![PauliOp::I; num_modes];
-    let mut y_ops = vec![PauliOp::I; num_modes];
-    for q in 0..op.mode {
-        x_ops[q] = PauliOp::Z;
-        y_ops[q] = PauliOp::Z;
-    }
-    x_ops[op.mode] = PauliOp::X;
-    y_ops[op.mode] = PauliOp::Y;
-
-    let mut sum = PauliSum::new();
-    sum.add(PauliString::from_ops(x_ops), Complex::real(0.5));
+    let bit = 1u64 << op.mode;
+    let chain = bit - 1;
+    let mut sum = PauliSum::new(num_modes);
+    sum.add_masks((bit, chain), Complex::real(0.5));
     let y_coeff = if op.creation {
         Complex::new(0.0, -0.5)
     } else {
         Complex::new(0.0, 0.5)
     };
-    sum.add(PauliString::from_ops(y_ops), y_coeff);
+    sum.add_masks((bit, chain | bit), y_coeff);
     sum
 }
 
@@ -145,6 +190,10 @@ pub fn ladder_to_pauli(op: LadderOp, num_modes: usize) -> PauliSum {
 /// Returns [`JwError::NonHermitian`] if the input operator is not Hermitian
 /// (a Pauli coefficient keeps an imaginary part), or [`JwError::Empty`] if no
 /// non-identity term survives.
+///
+/// # Panics
+///
+/// Panics if the operator has more than 64 modes.
 pub fn transform(op: &FermionOperator) -> Result<Hamiltonian, JwError> {
     transform_with_options(op, true)
 }
@@ -155,51 +204,93 @@ pub fn transform(op: &FermionOperator) -> Result<Hamiltonian, JwError> {
 /// # Errors
 ///
 /// See [`transform`].
+///
+/// # Panics
+///
+/// Panics if the operator has more than 64 modes.
 pub fn transform_with_options(
     op: &FermionOperator,
     drop_identity: bool,
 ) -> Result<Hamiltonian, JwError> {
     let n = op.num_modes();
-    let mut total = PauliSum::new();
+    let mut total = PauliSum::new(n);
     for term in op.terms() {
-        let mut product = PauliSum::single(PauliString::identity(n), Complex::ONE);
+        let mut product = PauliSum::new(n);
+        product.add_masks((0, 0), Complex::ONE);
         for ladder in &term.operators {
             product = product.multiply(&ladder_to_pauli(*ladder, n));
         }
         total.add_scaled(&product, Complex::real(term.coefficient));
     }
 
-    let mut terms: Vec<Term> = Vec::new();
-    for (string, coeff) in total.iter() {
+    let mut keyed: Vec<(u128, Term)> = Vec::new();
+    for (&(x, z), coeff) in &total.terms {
         if coeff.abs() < COEFF_TOL {
             continue;
         }
         if coeff.im.abs() > 1e-7 {
             return Err(JwError::NonHermitian {
-                string: string.to_string(),
+                string: string_from_masks(n, x, z).to_string(),
                 imaginary: coeff.im,
             });
         }
-        if drop_identity && string.is_identity() {
+        if drop_identity && x == 0 && z == 0 {
             continue;
         }
-        terms.push(Term::new(coeff.re, string.clone()));
+        keyed.push((
+            text_key(n, x, z),
+            Term::new(coeff.re, string_from_masks(n, x, z)),
+        ));
     }
     // Deterministic ordering: sort by descending magnitude then string text.
-    terms.sort_by(|a, b| {
+    keyed.sort_by(|(key_a, a), (key_b, b)| {
         b.coefficient
             .abs()
             .partial_cmp(&a.coefficient.abs())
             .expect("coefficients are finite")
-            .then_with(|| a.string.to_string().cmp(&b.string.to_string()))
+            .then_with(|| key_a.cmp(key_b))
     });
-    Hamiltonian::new(terms).map_err(JwError::Empty)
+    Hamiltonian::new(keyed.into_iter().map(|(_, term)| term).collect()).map_err(JwError::Empty)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use marqsim_linalg::Matrix;
+
+    fn every_string(n: usize) -> Vec<PauliString> {
+        let ops = [PauliOp::I, PauliOp::X, PauliOp::Y, PauliOp::Z];
+        (0..4usize.pow(n as u32))
+            .map(|code| PauliString::from_ops((0..n).map(|q| ops[(code >> (2 * q)) & 3]).collect()))
+            .collect()
+    }
+
+    #[test]
+    fn mask_products_match_string_products() {
+        let strings = every_string(3);
+        for a in &strings {
+            for b in &strings {
+                let (phase, product) = a.mul(b);
+                let (mask_phase, (x, z)) =
+                    mul_masks((a.x_mask(), a.z_mask()), (b.x_mask(), b.z_mask()));
+                assert_eq!(mask_phase, phase, "{a} * {b}");
+                assert_eq!(string_from_masks(3, x, z), product, "{a} * {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn text_keys_order_strings_like_their_text() {
+        let mut strings = every_string(3);
+        strings.sort_by_key(|p| text_key(3, p.x_mask(), p.z_mask()));
+        let text: Vec<String> = strings.iter().map(|p| p.to_string()).collect();
+        let mut sorted = text.clone();
+        sorted.sort();
+        assert_eq!(text, sorted);
+        // The derived order on operators (I < Z < X < Y) is not the text
+        // order, so the key cannot come from `PauliString`'s `Ord`.
+        assert!("Z".parse::<PauliString>().unwrap() < "X".parse::<PauliString>().unwrap());
+    }
 
     #[test]
     fn number_operator_maps_to_identity_minus_z() {
@@ -249,7 +340,7 @@ mod tests {
             let dim = 1 << n;
             let mut m = Matrix::zeros(dim, dim);
             for (p, c) in s.iter() {
-                m = &m + &p.to_matrix().scale(*c);
+                m = &m + &p.to_matrix().scale(c);
             }
             m
         };
@@ -268,7 +359,7 @@ mod tests {
             let dim = 1 << n;
             let mut m = Matrix::zeros(dim, dim);
             for (p, c) in s.iter() {
-                m = &m + &p.to_matrix().scale(*c);
+                m = &m + &p.to_matrix().scale(c);
             }
             m
         };

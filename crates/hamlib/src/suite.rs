@@ -304,4 +304,55 @@ mod tests {
         let b = benchmark_by_name("Cl-", SuiteScale::Reduced).unwrap();
         assert_ne!(a.hamiltonian, b.hamiltonian);
     }
+
+    /// FNV-1a 64 over each term's text and coefficient bits, Hamiltonian by
+    /// Hamiltonian.
+    fn fingerprint<'a>(hams: impl IntoIterator<Item = &'a Hamiltonian>) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut feed = |bytes: &[u8]| {
+            for &b in bytes {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for ham in hams {
+            feed(&(ham.num_terms() as u64).to_le_bytes());
+            for term in ham.terms() {
+                feed(term.string.to_string().as_bytes());
+                feed(&term.coefficient.to_bits().to_le_bytes());
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn generated_hamiltonians_match_their_pinned_fingerprint() {
+        // Every suite Hamiltonian at both scales plus every Table 2 random
+        // instance, term by term and bit for bit. Any change to the
+        // generators, the Jordan-Wigner transform or duplicate merging that
+        // moves a single coefficient bit fails here.
+        let mut hams: Vec<Hamiltonian> = Vec::new();
+        for scale in [SuiteScale::Reduced, SuiteScale::Full] {
+            hams.extend(table1_suite(scale).into_iter().map(|b| b.hamiltonian));
+        }
+        for qubits in [10, 20, 30] {
+            for terms in [100, 500, 1000] {
+                hams.push(crate::random::random_hamiltonian(
+                    &crate::random::RandomHamiltonianParams {
+                        qubits,
+                        terms,
+                        identity_bias: 0.6,
+                        seed: 1234 + terms as u64,
+                    },
+                ));
+            }
+        }
+        assert_eq!(hams.len(), 33);
+        // Pinned on the quadratic duplicate merge and the string-based
+        // Jordan-Wigner products that preceded the linear-time ones.
+        let hash = fingerprint(&hams);
+        assert_eq!(
+            hash, 0x2e22_01fc_9fbb_1cf0,
+            "fingerprint moved to {hash:#018x}"
+        );
+    }
 }

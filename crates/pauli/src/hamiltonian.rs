@@ -1,5 +1,6 @@
 //! Hamiltonians as weighted sums of Pauli strings.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 
@@ -67,7 +68,9 @@ impl Hamiltonian {
     /// Creates a Hamiltonian from a list of terms.
     ///
     /// Terms with zero coefficient are dropped; duplicate Pauli strings are
-    /// merged by summing their coefficients.
+    /// merged by summing their coefficients in input order, at the position
+    /// of their first occurrence. Merging goes through a hash index, so
+    /// construction is linear in the number of terms.
     ///
     /// # Errors
     ///
@@ -76,6 +79,8 @@ impl Hamiltonian {
     /// different numbers of qubits.
     pub fn new(terms: Vec<Term>) -> Result<Self, ParseError> {
         let mut merged: Vec<Term> = Vec::with_capacity(terms.len());
+        // The slot in `merged` of each distinct string.
+        let mut slots: HashMap<PauliString, usize> = HashMap::with_capacity(terms.len());
         let mut num_qubits = None;
         for term in terms {
             let n = term.string.num_qubits();
@@ -89,9 +94,10 @@ impl Hamiltonian {
             if term.coefficient == 0.0 {
                 continue;
             }
-            if let Some(existing) = merged.iter_mut().find(|t| t.string == term.string) {
-                existing.coefficient += term.coefficient;
+            if let Some(&slot) = slots.get(&term.string) {
+                merged[slot].coefficient += term.coefficient;
             } else {
+                slots.insert(term.string.clone(), merged.len());
                 merged.push(term);
             }
         }
@@ -297,6 +303,96 @@ impl FromStr for Hamiltonian {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PauliOp;
+    use quickprop::{check, Config, Gen};
+
+    /// The quadratic merge [`Hamiltonian::new`] replaced: a linear search
+    /// of the merged terms for every input term.
+    fn reference_new(terms: Vec<Term>) -> Result<Hamiltonian, ParseError> {
+        let mut merged: Vec<Term> = Vec::with_capacity(terms.len());
+        let mut num_qubits = None;
+        for term in terms {
+            let n = term.string.num_qubits();
+            match num_qubits {
+                None => num_qubits = Some(n),
+                Some(expected) if expected != n => {
+                    return Err(ParseError::InconsistentQubitCount { expected, found: n })
+                }
+                _ => {}
+            }
+            if term.coefficient == 0.0 {
+                continue;
+            }
+            if let Some(existing) = merged.iter_mut().find(|t| t.string == term.string) {
+                existing.coefficient += term.coefficient;
+            } else {
+                merged.push(term);
+            }
+        }
+        merged.retain(|t| t.coefficient.abs() > 0.0);
+        let num_qubits = num_qubits.ok_or(ParseError::EmptyHamiltonian)?;
+        if merged.is_empty() {
+            return Err(ParseError::EmptyHamiltonian);
+        }
+        Ok(Hamiltonian {
+            num_qubits,
+            terms: merged,
+        })
+    }
+
+    /// Terms on 1-2 qubits (so strings repeat often) with signed zeros,
+    /// repeated coefficients, exactly cancelling pairs, and now and then a
+    /// term on a different qubit count.
+    fn terms_with_duplicates(g: &mut Gen) -> Vec<Term> {
+        const COEFFICIENTS: [f64; 6] = [0.0, -0.0, 0.5, -0.5, 0.1, 0.3];
+        let ops = [PauliOp::I, PauliOp::X, PauliOp::Y, PauliOp::Z];
+        let n = g.usize_in(1..3);
+        let mut terms: Vec<Term> = Vec::new();
+        for _ in 0..g.usize_in(0..24) {
+            let qubits = if g.bool(0.02) { n + 1 } else { n };
+            let string = PauliString::from_ops((0..qubits).map(|_| *g.choose(&ops)).collect());
+            let coefficient = if g.bool(0.5) {
+                *g.choose(&COEFFICIENTS)
+            } else {
+                g.f64_in(-1.0, 1.0)
+            };
+            if g.bool(0.2) {
+                terms.push(Term::new(-coefficient, string.clone()));
+            }
+            terms.push(Term::new(coefficient, string));
+        }
+        terms
+    }
+
+    #[test]
+    fn hash_merge_matches_the_quadratic_merge() {
+        check(
+            "Hamiltonian::new == reference_new",
+            Config::default().with_seed(0x4A3E),
+            terms_with_duplicates,
+            |terms| {
+                // Terms as text and coefficient bits, so a signed zero or a
+                // last-bit difference counts.
+                let bits = |h: Result<Hamiltonian, ParseError>| {
+                    h.map(|h| {
+                        let terms: Vec<_> = h
+                            .terms
+                            .into_iter()
+                            .map(|t| (t.string.to_string(), t.coefficient.to_bits()))
+                            .collect();
+                        (h.num_qubits, terms)
+                    })
+                };
+                let fast = bits(Hamiltonian::new(terms.clone()));
+                let slow = bits(reference_new(terms.clone()));
+                if fast == slow {
+                    Ok(())
+                } else {
+                    Err(format!("{fast:?} != oracle {slow:?}"))
+                }
+            },
+        );
+    }
 
     fn example_4_1() -> Hamiltonian {
         Hamiltonian::parse("1.0 IIIZ + 0.5 IIZZ + 0.4 XXYY + 0.1 ZXZY").unwrap()
