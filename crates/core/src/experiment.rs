@@ -58,17 +58,6 @@ pub struct SweepConfig {
 }
 
 impl SweepConfig {
-    /// A sweep mirroring the paper's setup for a given evolution time.
-    pub fn paper_default(time: f64) -> Self {
-        SweepConfig {
-            time,
-            epsilons: DEFAULT_EPSILONS.to_vec(),
-            repeats: 20,
-            base_seed: 1,
-            evaluate_fidelity: true,
-        }
-    }
-
     /// A cheap sweep for tests and smoke runs.
     pub fn quick(time: f64) -> Self {
         SweepConfig {

@@ -431,11 +431,6 @@ impl TransitionCache {
         self.graphs.shard_lens()
     }
 
-    /// Per-shard `P_gc` component entry counts.
-    pub fn component_shard_lens(&self) -> Vec<usize> {
-        self.components.shard_lens()
-    }
-
     /// Returns the cached HTT graph for `(ham, strategy)`, building and
     /// inserting it on a miss.
     ///

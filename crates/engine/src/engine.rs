@@ -2,18 +2,18 @@
 //!
 //! The public job surface is the open [`Workload`] trait (see
 //! [`crate::workload`]); this module owns the machinery underneath it — the
-//! engine itself and the built-in compile/sweep job plumbing with its
-//! deduplicated graph resolution and flattened point-task queue.
+//! engine itself, the one job runner every submitted and synchronous job
+//! goes through, and the batch machinery of the built-in compile and sweep
+//! jobs with its deduplicated graph resolution and flattened point-task
+//! queue.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::channel;
+use std::sync::mpsc::{channel, SendError};
 use std::sync::Arc;
 
-use marqsim_core::experiment::{
-    compile_point_with, point_seed, ExperimentPoint, SweepConfig, SweepResult,
-};
+use marqsim_core::experiment::{point_seed, ExperimentPoint, SweepConfig, SweepResult};
 use marqsim_core::metrics::evaluate_fidelity_against;
 use marqsim_core::{
     CompileError, CompileResult, Compiler, CompilerConfig, HttGraph, TransitionStrategy,
@@ -25,11 +25,10 @@ use marqsim_sim::exact::{self, exact_unitary};
 
 use crate::cache::{hamiltonian_fingerprint, CacheConfig, CacheKey, StrategyKey, TransitionCache};
 use crate::error::EngineError;
-use crate::job::{CancelToken, JobControl, JobHandle, JobId, JobState};
+use crate::job::{JobControl, JobHandle, JobId, JobState};
 use crate::pool::{Priority, ThreadPool};
 use crate::workload::{
-    CompileWorkload, ProgressCadence, ProgressSink, SubmitOptions, SweepWorkload, Workload,
-    WorkloadCtx, WorkloadOutput,
+    CompileWorkload, SubmitOptions, SweepWorkload, Workload, WorkloadCtx, WorkloadOutput,
 };
 
 /// Engine construction parameters.
@@ -256,59 +255,8 @@ impl SweepRequest {
     }
 }
 
-/// A built-in (compile or sweep) job — the unit the batched machinery
-/// schedules. Public API routes through the [`Workload`] trait; this enum
-/// stays internal so new workload kinds never require engine surgery.
-#[derive(Debug, Clone)]
-pub(crate) enum BuiltinJob {
-    Compile(CompileRequest),
-    Sweep(SweepRequest),
-}
-
-impl BuiltinJob {
-    fn label(&self) -> &str {
-        match self {
-            BuiltinJob::Compile(req) => &req.label,
-            BuiltinJob::Sweep(req) => &req.label,
-        }
-    }
-
-    fn hamiltonian(&self) -> &Hamiltonian {
-        match self {
-            BuiltinJob::Compile(req) => &req.hamiltonian,
-            BuiltinJob::Sweep(req) => &req.hamiltonian,
-        }
-    }
-
-    fn strategy(&self) -> &TransitionStrategy {
-        match self {
-            BuiltinJob::Compile(req) => &req.config.strategy,
-            BuiltinJob::Sweep(req) => &req.strategy,
-        }
-    }
-
-    /// The evolution time fidelities are scored at, when the job
-    /// evaluates fidelity.
-    fn fidelity_time(&self) -> Option<f64> {
-        match self {
-            BuiltinJob::Compile(req) => req.evaluate_fidelity.then_some(req.config.time),
-            BuiltinJob::Sweep(req) => req.config.evaluate_fidelity.then_some(req.config.time),
-        }
-    }
-}
-
-/// The result of one built-in job.
-#[derive(Debug, Clone)]
-pub(crate) enum BuiltinOutcome {
-    /// Output of a compile job (boxed: a [`CompileResult`] is an order of
-    /// magnitude larger than a sweep handle).
-    Compiled(Box<CompileOutcome>),
-    /// Output of a sweep job.
-    Swept(SweepResult),
-}
-
 /// A progress snapshot, reported once per completed unit of work (subject
-/// to the submission's [`ProgressCadence`]).
+/// to the submission's [`ProgressCadence`](crate::ProgressCadence)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Progress {
     /// Units finished so far.
@@ -326,7 +274,6 @@ pub(crate) type ProgressFn = dyn Fn(Progress) + Send + Sync;
 pub struct Engine {
     pool: ThreadPool,
     cache: Arc<TransitionCache>,
-    progress: Option<Arc<ProgressFn>>,
     cache_enabled: bool,
     next_job_id: AtomicU64,
     active_jobs: AtomicUsize,
@@ -355,7 +302,6 @@ impl Engine {
         Engine {
             pool: ThreadPool::new(config.resolved_threads()),
             cache: Arc::new(TransitionCache::with_config(config.cache.clone())),
-            progress: None,
             cache_enabled: config.cache_enabled,
             next_job_id: AtomicU64::new(1),
             active_jobs: AtomicUsize::new(0),
@@ -375,16 +321,6 @@ impl Engine {
         Ok(Engine::new(EngineConfig::from_env()?))
     }
 
-    /// Installs a default progress callback for *synchronous* runs
-    /// ([`run_workload`](Self::run_workload), [`compile_many`](Self::compile_many),
-    /// [`run_sweeps`](Self::run_sweeps)), invoked on the calling thread once
-    /// per completed unit. Asynchronous submissions attach their own
-    /// callback via [`submit_with_progress`](Self::submit_with_progress).
-    pub fn with_progress(mut self, callback: impl Fn(Progress) + Send + Sync + 'static) -> Self {
-        self.progress = Some(Arc::new(callback));
-        self
-    }
-
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.pool.threads()
@@ -400,7 +336,7 @@ impl Engine {
         self.cache_enabled
     }
 
-    /// Number of asynchronously submitted jobs that have not yet produced
+    /// Number of jobs, submitted or synchronous, that have not yet produced
     /// an outcome.
     pub fn active_jobs(&self) -> usize {
         self.active_jobs.load(Ordering::Relaxed)
@@ -416,43 +352,18 @@ impl Engine {
         &self.pool
     }
 
-    fn default_sink(&self) -> ProgressSink {
-        ProgressSink::new(self.progress.clone(), None, ProgressCadence::default())
-    }
-
-    /// The shared plumbing of every *synchronous* built-in run
-    /// ([`compile_many`](Self::compile_many), [`run_sweeps`](Self::run_sweeps)):
-    /// fresh cancel token, engine-level progress sink, normal priority.
-    fn run_builtin_default(
-        &self,
-        jobs: Vec<BuiltinJob>,
-    ) -> Vec<Result<BuiltinOutcome, EngineError>> {
-        let sink = self.default_sink();
-        self.run_builtin(
-            jobs,
-            &CancelToken::new(),
-            &|completed, total| sink.emit(Progress { completed, total }),
-            Priority::Normal,
-        )
-    }
-
-    /// Runs one workload synchronously on the calling thread (its pool
-    /// fan-out still parallelizes) and returns its output. Progress goes to
-    /// the engine-level [`with_progress`](Self::with_progress) callback.
+    /// Runs one workload synchronously as one job on the calling thread
+    /// (its pool fan-out still parallelizes) and returns its output. The
+    /// job gets an id and a `job` trace span like a submitted one.
     ///
     /// # Errors
     ///
-    /// Returns the workload's [`EngineError`].
+    /// Returns the workload's [`EngineError`], or
+    /// [`EngineError::WorkerPanic`] if its body panicked.
     pub fn run_workload(&self, workload: &dyn Workload) -> Result<WorkloadOutput, EngineError> {
-        let ctx = WorkloadCtx::new(
-            self,
-            workload.label().to_string(),
-            CancelToken::new(),
-            self.default_sink(),
-            Priority::Normal,
-            workload.total_units(),
-        );
-        workload.run(&ctx)
+        self.run_inline(workload.label(), workload.total_units(), |ctx| {
+            workload.run(ctx)
+        })
     }
 
     /// Submits one workload for asynchronous execution and returns
@@ -474,8 +385,9 @@ impl Engine {
 
     /// Like [`submit`](Self::submit), with a per-job progress callback
     /// invoked on the coordinator thread (subject to the default
-    /// [`ProgressCadence`]: one event per completed unit). The handle's
-    /// [`progress`](JobHandle::progress) snapshot is updated either way.
+    /// [`ProgressCadence`](crate::ProgressCadence): one event per completed
+    /// unit). The handle's [`progress`](JobHandle::progress) snapshot is
+    /// updated either way.
     pub fn submit_with_progress<W: Workload + 'static>(
         self: &Arc<Self>,
         workload: W,
@@ -518,7 +430,9 @@ impl Engine {
     ///
     /// `on_complete` fires exactly once, after the job is marked finished
     /// ([`JobControl::is_finished`] already answers `true` inside the
-    /// hook) and the engine's active-job gauge has been decremented.
+    /// hook) and the engine's active-job gauge has been decremented. If
+    /// the coordinator thread cannot be spawned, it fires on the calling
+    /// thread, before this returns, with an [`EngineError::Workload`].
     pub fn submit_with_hooks<W: Workload + 'static>(
         self: &Arc<Self>,
         workload: W,
@@ -526,76 +440,110 @@ impl Engine {
         on_progress: impl Fn(JobId, Progress) + Send + Sync + 'static,
         on_complete: impl FnOnce(JobId, Result<WorkloadOutput, EngineError>) + Send + 'static,
     ) -> JobControl {
-        let id = JobId(self.next_job_id.fetch_add(1, Ordering::Relaxed));
-        let state = Arc::new(JobState::new(id, workload.label().to_string()));
-        let control = JobControl::new(Arc::clone(&state));
-
-        self.active_jobs.fetch_add(1, Ordering::Relaxed);
-        let registry = metrics::global();
-        registry.counter("marqsim_engine_jobs_total").inc();
-        registry.gauge("marqsim_engine_active_jobs").add(1);
+        let state = self.admit(workload.label());
+        let id = state.id;
         let engine = Arc::clone(self);
         let coordinator_state = Arc::clone(&state);
-        let job_id = id.0;
-        std::thread::Builder::new()
-            .name(format!("marqsim-job-{}", id.0))
-            .spawn(move || {
-                // The job span is opened on the coordinator thread, so
-                // everything the workload does — graph resolution, pool
-                // submissions (whose tasks re-parent here), persist I/O —
-                // nests under it in the trace.
-                let job_span = trace::Span::enter("job")
-                    // Named `job`, not `id`: the record already carries
-                    // the span's own `id` key.
-                    .field("job", job_id)
-                    .field("label", coordinator_state.label.as_str());
-                let sink = ProgressSink::new(
-                    Some(Arc::new(move |progress| on_progress(id, progress))),
-                    Some(Arc::clone(&coordinator_state)),
-                    options.progress_every,
+        let spawned = spawn_coordinator(
+            id,
+            (workload, on_progress, on_complete),
+            move |(workload, on_progress, on_complete)| {
+                let on_progress: Arc<ProgressFn> =
+                    Arc::new(move |progress| on_progress(id, progress));
+                let outcome = engine.run_job(
+                    &coordinator_state,
+                    &options,
+                    Some(on_progress),
+                    workload.total_units(),
+                    |ctx| workload.run(ctx),
                 );
-                let cancel = coordinator_state.cancel.clone();
-                // A job cancelled before it starts never touches the pool.
-                let outcome = if cancel.is_cancelled() {
-                    Err(EngineError::cancelled(&coordinator_state.label))
-                } else {
-                    let ctx = WorkloadCtx::new(
-                        &engine,
-                        coordinator_state.label.clone(),
-                        cancel,
-                        sink,
-                        options.priority,
-                        workload.total_units(),
-                    );
-                    // A panic in a custom workload body costs that job, not
-                    // the coordinator accounting (the handle still resolves,
-                    // active_jobs still decrements).
-                    catch_unwind(AssertUnwindSafe(|| workload.run(&ctx))).unwrap_or_else(
-                        |payload| {
-                            let message = payload
-                                .downcast_ref::<&str>()
-                                .map(|s| s.to_string())
-                                .or_else(|| payload.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "workload panicked".to_string());
-                            Err(EngineError::panic(&coordinator_state.label, message))
-                        },
-                    )
-                };
-                coordinator_state.mark_finished();
-                engine.active_jobs.fetch_sub(1, Ordering::Relaxed);
-                metrics::global().gauge("marqsim_engine_active_jobs").sub(1);
-                // Record the job span before the outcome is handed over, so
-                // a caller that has collected the outcome also finds the
-                // span in the trace.
-                drop(job_span);
                 on_complete(id, outcome);
-            })
-            .expect("spawn job coordinator");
-
-        control
+            },
+        );
+        // A job whose coordinator cannot start fails in place: the caller
+        // (the serve event loop) keeps running and its admission slots are
+        // released through `on_complete` like any other terminal.
+        if let Err(((_, _, on_complete), error)) = spawned {
+            self.retire(&state);
+            let message = format!("could not start the job coordinator: {error}");
+            on_complete(id, Err(EngineError::workload(&state.label, message)));
+        }
+        JobControl::new(state)
     }
 
-    /// Compiles one request on the calling thread's batch machinery.
+    /// Admits one job: assigns its id and counts it as active until
+    /// [`retire`](Self::retire).
+    fn admit(&self, label: &str) -> Arc<JobState> {
+        let id = JobId(self.next_job_id.fetch_add(1, Ordering::Relaxed));
+        self.active_jobs.fetch_add(1, Ordering::Relaxed);
+        metrics::global().gauge("marqsim_engine_active_jobs").add(1);
+        Arc::new(JobState::new(id, label.to_string()))
+    }
+
+    /// Marks an admitted job finished and stops counting it as active.
+    fn retire(&self, state: &JobState) {
+        state.mark_finished();
+        self.active_jobs.fetch_sub(1, Ordering::Relaxed);
+        metrics::global().gauge("marqsim_engine_active_jobs").sub(1);
+    }
+
+    /// The body of every admitted job, run on its coordinator thread when
+    /// submitted and inline on the caller's thread when synchronous. It
+    /// opens the `job` span, runs `body` unless the job was cancelled
+    /// before it started, and retires the job before the span closes.
+    fn run_job<R>(
+        &self,
+        state: &Arc<JobState>,
+        options: &SubmitOptions,
+        on_progress: Option<Arc<ProgressFn>>,
+        total_units: usize,
+        body: impl FnOnce(&WorkloadCtx<'_>) -> Result<R, EngineError>,
+    ) -> Result<R, EngineError> {
+        metrics::global().counter("marqsim_engine_jobs_total").inc();
+        // Everything the job does — graph resolution, pool submissions
+        // (whose tasks re-parent here), persist I/O — nests under its span.
+        let job_span = trace::Span::enter("job")
+            // Named `job`, not `id`: the record already carries the span's
+            // own `id` key.
+            .field("job", state.id.0)
+            .field("label", state.label.as_str());
+        // A job cancelled before it starts never touches the pool.
+        let outcome = if state.cancel.is_cancelled() {
+            Err(EngineError::cancelled(&state.label))
+        } else {
+            let ctx = WorkloadCtx::new(self, state, on_progress, options, total_units);
+            // A panic in a workload body costs that job, not the engine's
+            // accounting (the job still retires with an outcome).
+            catch_unwind(AssertUnwindSafe(|| body(&ctx))).unwrap_or_else(|payload| {
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "workload panicked".to_string());
+                Err(EngineError::panic(&state.label, message))
+            })
+        };
+        self.retire(state);
+        // Record the job span before the outcome is handed over, so a
+        // caller that has collected the outcome also finds the span in the
+        // trace.
+        drop(job_span);
+        outcome
+    }
+
+    /// Runs `body` as one synchronous job on the calling thread, with
+    /// default options and no progress callback.
+    fn run_inline<R>(
+        &self,
+        label: &str,
+        total_units: usize,
+        body: impl FnOnce(&WorkloadCtx<'_>) -> Result<R, EngineError>,
+    ) -> Result<R, EngineError> {
+        let state = self.admit(label);
+        self.run_job(&state, &SubmitOptions::default(), None, total_units, body)
+    }
+
+    /// Compiles one request as one synchronous job.
     ///
     /// # Errors
     ///
@@ -605,23 +553,17 @@ impl Engine {
             .map(WorkloadOutput::into_compiled)
     }
 
-    /// Compiles many requests concurrently; outcomes keep request order.
+    /// Compiles many requests concurrently as one synchronous job;
+    /// outcomes keep request order.
     pub fn compile_many(
         &self,
         requests: Vec<CompileRequest>,
     ) -> Vec<Result<CompileOutcome, EngineError>> {
-        let jobs = requests.into_iter().map(BuiltinJob::Compile).collect();
-        self.run_builtin_default(jobs)
-            .into_iter()
-            .map(|outcome| {
-                outcome.map(|outcome| match outcome {
-                    BuiltinOutcome::Compiled(compiled) => *compiled,
-                    BuiltinOutcome::Swept(_) => {
-                        unreachable!("compile jobs produce compile outcomes")
-                    }
-                })
-            })
-            .collect()
+        let labels: Vec<String> = requests.iter().map(|r| r.label.clone()).collect();
+        self.run_inline("compile_many", labels.len(), |ctx| {
+            Ok(ctx.compile_batch(requests))
+        })
+        .unwrap_or_else(|e| fail_each(&labels, &e))
     }
 
     /// Runs one sweep across the pool. Byte-identical to
@@ -645,21 +587,16 @@ impl Engine {
         .map(WorkloadOutput::into_swept)
     }
 
-    /// Runs many sweeps concurrently on one flattened work queue; outcomes
-    /// keep request order.
+    /// Runs many sweeps concurrently as one synchronous job on one
+    /// flattened work queue; outcomes keep request order.
     pub fn run_sweeps(&self, requests: Vec<SweepRequest>) -> Vec<Result<SweepResult, EngineError>> {
-        let jobs = requests.into_iter().map(BuiltinJob::Sweep).collect();
-        self.run_builtin_default(jobs)
-            .into_iter()
-            .map(|outcome| {
-                outcome.map(|outcome| match outcome {
-                    BuiltinOutcome::Swept(sweep) => sweep,
-                    BuiltinOutcome::Compiled(_) => {
-                        unreachable!("sweep jobs produce sweep outcomes")
-                    }
-                })
-            })
-            .collect()
+        let labels: Vec<String> = requests.iter().map(|r| r.label.clone()).collect();
+        let units = requests
+            .iter()
+            .map(|r| r.config.epsilons.len() * r.config.repeats)
+            .sum();
+        self.run_inline("run_sweeps", units, |ctx| Ok(ctx.sweep_batch(requests)))
+            .unwrap_or_else(|e| fail_each(&labels, &e))
     }
 
     /// Generic parallel map over the engine's pool: applies `f` to every
@@ -678,93 +615,220 @@ impl Engine {
             .map(|result| result.map_err(|message| EngineError::panic(label, message)))
             .collect()
     }
+}
 
-    /// Runs a list of built-in jobs: two-phase execution with deduplicated
-    /// graph resolution and one flattened point-task queue.
-    ///
-    /// Execution has two phases. First every job's HTT graph is resolved
-    /// (through the cache when enabled) with the graph builds themselves
-    /// running on the pool — distinct Hamiltonians' min-cost-flow solves
-    /// proceed concurrently — followed by the exact reference unitary of
-    /// every job with fidelity on, once per distinct (working Hamiltonian,
-    /// t). Then all jobs are expanded into point-level tasks (one per
-    /// compile, one per sweep point) on a single work queue, each holding
-    /// its job's shared graph and exact unitary.
-    ///
-    /// Determinism: each task's output is a pure function of its request
-    /// (sweep points use `experiment::point_seed`, the serial seed stream),
-    /// so outcomes are bit-identical for any thread count or priority.
-    pub(crate) fn run_builtin(
+/// The outcomes of a synchronous batch whose job failed as a whole (its
+/// batch machinery panicked): that failure, once per request.
+fn fail_each<T>(labels: &[String], error: &EngineError) -> Vec<Result<T, EngineError>> {
+    labels
+        .iter()
+        .map(|label| Err(EngineError::panic(label, error.to_string())))
+        .collect()
+}
+
+/// One job of the batch machinery: compile points that share one HTT graph
+/// and, with fidelity on, one exact unitary. A compile is a one-point job;
+/// a sweep is its `(ε, repetition)` grid of circuit-free points.
+struct BatchJob {
+    label: String,
+    hamiltonian: Hamiltonian,
+    strategy: TransitionStrategy,
+    /// The evolution time fidelities are scored at, when the job evaluates
+    /// fidelity.
+    fidelity_time: Option<f64>,
+    points: Vec<CompilerConfig>,
+}
+
+impl From<CompileRequest> for BatchJob {
+    fn from(request: CompileRequest) -> Self {
+        BatchJob {
+            label: request.label,
+            hamiltonian: request.hamiltonian,
+            strategy: request.config.strategy.clone(),
+            fidelity_time: request.evaluate_fidelity.then_some(request.config.time),
+            points: vec![request.config],
+        }
+    }
+}
+
+impl From<SweepRequest> for BatchJob {
+    /// The points of `marqsim_core::experiment::run_sweep`: the seeds come
+    /// from `point_seed`, the serial seed stream.
+    fn from(request: SweepRequest) -> Self {
+        let config = &request.config;
+        let mut points = Vec::with_capacity(config.epsilons.len() * config.repeats);
+        for (eps_idx, &epsilon) in config.epsilons.iter().enumerate() {
+            for rep in 0..config.repeats {
+                points.push(
+                    CompilerConfig::new(config.time, epsilon)
+                        .with_strategy(request.strategy.clone())
+                        .with_seed(point_seed(config, eps_idx, rep))
+                        .without_circuit(),
+                );
+            }
+        }
+        BatchJob {
+            fidelity_time: config.evaluate_fidelity.then_some(config.time),
+            label: request.label,
+            hamiltonian: request.hamiltonian,
+            strategy: request.strategy,
+            points,
+        }
+    }
+}
+
+/// Turns one compiled point (job label, point configuration, compiler
+/// output, fidelity) into the job's per-point output. It runs inside the
+/// point task, so a sweep point's sampled sequence is dropped there.
+type Projection<T> = fn(&str, &CompilerConfig, CompileResult, Option<f64>) -> T;
+
+/// A job's phase-1 products, shared by all of its points.
+struct Resolved {
+    graph: Arc<HttGraph>,
+    /// `exp(i·H·t)` of the graph's working Hamiltonian, for jobs that
+    /// evaluate fidelity.
+    exact: Option<Arc<Matrix>>,
+}
+
+/// One point-level unit of work: the one compile + fidelity path every
+/// built-in job runs.
+struct PointTask {
+    label: Arc<str>,
+    config: CompilerConfig,
+    graph: Arc<HttGraph>,
+    exact: Option<Arc<Matrix>>,
+}
+
+impl PointTask {
+    fn run<T>(self, project: Projection<T>) -> Result<T, EngineError> {
+        let compiler = Compiler::new(self.config);
+        let result = compiler
+            .compile_with_htt(&self.graph)
+            .map_err(|e| EngineError::compile(&self.label, e))?;
+        let time = compiler.config().time;
+        let fidelity = self.exact.map(|exact| {
+            evaluate_fidelity_against(&result.hamiltonian, time, &result.sequence, &exact)
+        });
+        Ok(project(&self.label, compiler.config(), result, fidelity))
+    }
+}
+
+impl WorkloadCtx<'_> {
+    /// Compiles every request as a one-point job of one batch; outcomes keep
+    /// request order.
+    pub(crate) fn compile_batch(
         &self,
-        jobs: Vec<BuiltinJob>,
-        cancel: &CancelToken,
-        on_progress: &(dyn Fn(usize, usize) + Sync),
-        priority: Priority,
-    ) -> Vec<Result<BuiltinOutcome, EngineError>> {
+        requests: Vec<CompileRequest>,
+    ) -> Vec<Result<CompileOutcome, EngineError>> {
+        let jobs = requests.into_iter().map(BatchJob::from).collect();
+        self.run_batch(jobs, |label, _, result, fidelity| CompileOutcome {
+            label: label.to_string(),
+            result,
+            fidelity,
+        })
+        .into_iter()
+        // A one-point job yields exactly one outcome either way.
+        .flat_map(|outcome| match outcome {
+            Ok(points) => points.into_iter().map(Ok).collect(),
+            Err(e) => vec![Err(e)],
+        })
+        .collect()
+    }
+
+    /// Runs every request's sweep as one job of one batch; outcomes keep
+    /// request order and are bit-identical to
+    /// `marqsim_core::experiment::run_sweep`.
+    pub(crate) fn sweep_batch(
+        &self,
+        requests: Vec<SweepRequest>,
+    ) -> Vec<Result<SweepResult, EngineError>> {
+        let labels: Vec<String> = requests.iter().map(|r| r.strategy.label()).collect();
+        let jobs = requests.into_iter().map(BatchJob::from).collect();
+        self.run_batch(jobs, |_, config, result, fidelity| ExperimentPoint {
+            epsilon: config.epsilon,
+            seed: config.seed,
+            num_samples: result.num_samples,
+            stats: result.stats,
+            fidelity,
+        })
+        .into_iter()
+        .zip(labels)
+        .map(|(outcome, label)| outcome.map(|points| SweepResult { label, points }))
+        .collect()
+    }
+
+    /// Runs a batch of jobs in two phases, with deduplicated graph
+    /// resolution and one flattened point-task queue.
+    ///
+    /// First every job's HTT graph is resolved (through the cache when
+    /// enabled) with the builds themselves running on the pool — distinct
+    /// Hamiltonians' min-cost-flow solves proceed concurrently — followed
+    /// by the exact reference unitary of every job with fidelity on, once
+    /// per distinct (working Hamiltonian, t). Then all jobs' points become
+    /// tasks on a single work queue, each holding its job's shared graph
+    /// and exact unitary, and each point's output is projected inside its
+    /// task. A job's outcome is its points in order, or its first error.
+    ///
+    /// Determinism: each task's output is a pure function of its point, so
+    /// outcomes are bit-identical for any thread count or priority.
+    fn run_batch<T: Send + 'static>(
+        &self,
+        jobs: Vec<BatchJob>,
+        project: Projection<T>,
+    ) -> Vec<Result<Vec<T>, EngineError>> {
         // A job cancelled before graph resolution never touches the pool.
-        if cancel.is_cancelled() {
+        if self.is_cancelled() {
             return jobs
                 .iter()
-                .map(|job| Err(EngineError::cancelled(job.label())))
+                .map(|_| Err(EngineError::cancelled(self.label())))
                 .collect();
         }
-        // Phase 1: resolve one HTT graph per job, building on the pool.
         let graphs = {
             let _span = trace::Span::enter("resolve_graph").field("jobs", jobs.len());
-            self.resolve_graphs(&jobs, priority)
+            self.engine.resolve_graphs(&jobs, self.priority())
         };
-        let resolved = self.resolve_exacts(&jobs, graphs, priority);
+        let resolved = self.engine.resolve_exacts(&jobs, graphs, self.priority());
 
-        // Phase 2: expand into point-level tasks.
-        let mut tasks: Vec<Task> = Vec::new();
-        for (job_idx, (job, resolved)) in jobs.iter().zip(&resolved).enumerate() {
-            let Ok(Resolved { graph, exact }) = resolved else {
-                continue;
-            };
-            match job {
-                BuiltinJob::Compile(req) => tasks.push(Task {
-                    job: job_idx,
-                    slot: 0,
-                    kind: TaskKind::Compile {
-                        request: req.clone(),
-                        graph: Arc::clone(graph),
-                        exact: exact.clone(),
-                    },
-                }),
-                BuiltinJob::Sweep(req) => {
-                    for (eps_idx, &epsilon) in req.config.epsilons.iter().enumerate() {
-                        for rep in 0..req.config.repeats {
-                            tasks.push(Task {
-                                job: job_idx,
-                                slot: eps_idx * req.config.repeats + rep,
-                                kind: TaskKind::SweepPoint {
-                                    graph: Arc::clone(graph),
-                                    exact: exact.clone(),
-                                    config: req.config.clone(),
-                                    epsilon,
-                                    seed: point_seed(&req.config, eps_idx, rep),
-                                },
-                            });
-                        }
-                    }
+        let mut tasks = Vec::new();
+        let mut owners = Vec::new();
+        let mut outcomes: Vec<Result<Vec<T>, EngineError>> = Vec::with_capacity(jobs.len());
+        for (index, (job, resolved)) in jobs.into_iter().zip(resolved).enumerate() {
+            let Resolved { graph, exact } = match resolved {
+                Ok(resolved) => resolved,
+                Err(e) => {
+                    outcomes.push(Err(e));
+                    continue;
                 }
+            };
+            let label: Arc<str> = job.label.into();
+            outcomes.push(Ok(Vec::with_capacity(job.points.len())));
+            for config in job.points {
+                owners.push(index);
+                tasks.push(PointTask {
+                    label: Arc::clone(&label),
+                    config,
+                    graph: Arc::clone(&graph),
+                    exact: exact.clone(),
+                });
             }
         }
 
-        let total = tasks.len();
-        let task_meta: Vec<(usize, usize)> = tasks.iter().map(|t| (t.job, t.slot)).collect();
-        let task_cancel = cancel.clone();
-        let outputs = self.pool.map_at(
-            priority,
-            tasks,
-            Arc::new(move |_index: usize, task: Task| task.run(&task_cancel)),
-            |done| on_progress(done, total),
-        );
-
-        // Phase 3: reassemble per job.
-        self.assemble(jobs, resolved, task_meta, outputs)
+        // `map` keeps input order, so the i-th output belongs to the i-th
+        // task even when the task panicked.
+        let outputs = self.map(tasks, move |_, task: PointTask| task.run(project));
+        for (index, output) in owners.into_iter().zip(outputs) {
+            if let Ok(points) = &mut outcomes[index] {
+                match output {
+                    Ok(point) => points.push(point),
+                    Err(e) => outcomes[index] = Err(e),
+                }
+            }
+        }
+        outcomes
     }
+}
 
+impl Engine {
     /// Resolves the exact reference unitary `exp(i·H·t)` of every job that
     /// evaluates fidelity and whose graph resolved, computing each distinct
     /// (working Hamiltonian, t) of the batch once on the pool. Nothing is
@@ -772,7 +836,7 @@ impl Engine {
     /// needed it.
     fn resolve_exacts(
         &self,
-        jobs: &[BuiltinJob],
+        jobs: &[BatchJob],
         graphs: Vec<Result<Arc<HttGraph>, EngineError>>,
         priority: Priority,
     ) -> Vec<Result<Resolved, EngineError>> {
@@ -781,7 +845,7 @@ impl Engine {
             .iter()
             .zip(&graphs)
             .map(|(job, graph)| {
-                let (Some(t), Ok(graph)) = (job.fidelity_time(), graph) else {
+                let (Some(t), Ok(graph)) = (job.fidelity_time, graph) else {
                     return None;
                 };
                 let shared = distinct.iter().position(|(other, other_t)| {
@@ -822,7 +886,7 @@ impl Engine {
                     None => None,
                     Some(Ok((exact, _))) => Some(Arc::clone(exact)),
                     Some(Err(message)) => {
-                        return Err(EngineError::panic(job.label(), message.clone()))
+                        return Err(EngineError::panic(&job.label, message.clone()))
                     }
                 };
                 Ok(Resolved {
@@ -847,13 +911,13 @@ impl Engine {
     /// which is that mode's documented contract.
     fn resolve_graphs(
         &self,
-        jobs: &[BuiltinJob],
+        jobs: &[BatchJob],
         priority: Priority,
     ) -> Vec<Result<Arc<HttGraph>, EngineError>> {
         if !self.cache_enabled {
             let inputs: Vec<(Hamiltonian, TransitionStrategy)> = jobs
                 .iter()
-                .map(|job| (job.hamiltonian().clone(), job.strategy().clone()))
+                .map(|job| (job.hamiltonian.clone(), job.strategy.clone()))
                 .collect();
             return self
                 .pool
@@ -870,8 +934,8 @@ impl Engine {
                 .into_iter()
                 .zip(jobs)
                 .map(|(result, job)| match result {
-                    Ok(built) => built.map_err(|e| EngineError::compile(job.label(), e)),
-                    Err(message) => Err(EngineError::panic(job.label(), message)),
+                    Ok(built) => built.map_err(|e| EngineError::compile(&job.label, e)),
+                    Err(message) => Err(EngineError::panic(&job.label, message)),
                 })
                 .collect();
         }
@@ -884,14 +948,14 @@ impl Engine {
         let mut job_to_distinct: Vec<usize> = Vec::with_capacity(jobs.len());
         for job in jobs {
             let key = CacheKey {
-                fingerprint: hamiltonian_fingerprint(job.hamiltonian()),
-                strategy: StrategyKey::of(job.strategy()),
+                fingerprint: hamiltonian_fingerprint(&job.hamiltonian),
+                strategy: StrategyKey::of(&job.strategy),
             };
             let index = distinct
                 .iter()
-                .position(|(ham, _, k)| *k == key && ham == job.hamiltonian());
+                .position(|(ham, _, k)| *k == key && *ham == job.hamiltonian);
             job_to_distinct.push(index.unwrap_or_else(|| {
-                distinct.push((job.hamiltonian().clone(), job.strategy().clone(), key));
+                distinct.push((job.hamiltonian.clone(), job.strategy.clone(), key));
                 distinct.len() - 1
             }));
         }
@@ -957,72 +1021,9 @@ impl Engine {
                     .expect("every distinct entry was built or attributed")
                 {
                     Built::Graph(graph) => Ok(Arc::clone(graph)),
-                    Built::Failed(e) => Err(EngineError::compile(job.label(), e.clone())),
+                    Built::Failed(e) => Err(EngineError::compile(&job.label, e.clone())),
                     Built::Panicked(message) => {
-                        Err(EngineError::panic(job.label(), message.clone()))
-                    }
-                }
-            })
-            .collect()
-    }
-
-    fn assemble(
-        &self,
-        jobs: Vec<BuiltinJob>,
-        resolved: Vec<Result<Resolved, EngineError>>,
-        task_meta: Vec<(usize, usize)>,
-        outputs: Vec<Result<TaskOutput, String>>,
-    ) -> Vec<Result<BuiltinOutcome, EngineError>> {
-        // Group task outputs per job; `pool.map` keeps input order, so the
-        // i-th output belongs to the i-th submitted task even when the task
-        // panicked and its output carries no indices of its own.
-        let mut per_job: Vec<Vec<(usize, Result<TaskOutput, String>)>> =
-            jobs.iter().map(|_| Vec::new()).collect();
-        for (&(job, slot), output) in task_meta.iter().zip(outputs) {
-            per_job[job].push((slot, output));
-        }
-
-        jobs.into_iter()
-            .zip(resolved)
-            .zip(per_job)
-            .map(|((job, resolved), mut outputs)| {
-                resolved?;
-                outputs.sort_by_key(|(slot, _)| *slot);
-                match job {
-                    BuiltinJob::Compile(req) => {
-                        let (_, output) = outputs.pop().expect("one task per compile job");
-                        match output {
-                            Ok(TaskOutput::Compiled(outcome)) => outcome
-                                .map(|outcome| BuiltinOutcome::Compiled(Box::new(outcome)))
-                                .map_err(|e| EngineError::compile(&req.label, e)),
-                            Ok(TaskOutput::Point(_)) => {
-                                unreachable!("compile jobs produce compile outputs")
-                            }
-                            Ok(TaskOutput::Cancelled) => Err(EngineError::cancelled(&req.label)),
-                            Err(message) => Err(EngineError::panic(&req.label, message)),
-                        }
-                    }
-                    BuiltinJob::Sweep(req) => {
-                        let mut points: Vec<ExperimentPoint> = Vec::with_capacity(outputs.len());
-                        for (_, output) in outputs {
-                            match output {
-                                Ok(TaskOutput::Point(point)) => points
-                                    .push(point.map_err(|e| EngineError::compile(&req.label, e))?),
-                                Ok(TaskOutput::Compiled(_)) => {
-                                    unreachable!("sweep jobs produce point outputs")
-                                }
-                                Ok(TaskOutput::Cancelled) => {
-                                    return Err(EngineError::cancelled(&req.label))
-                                }
-                                Err(message) => {
-                                    return Err(EngineError::panic(&req.label, message))
-                                }
-                            }
-                        }
-                        Ok(BuiltinOutcome::Swept(SweepResult {
-                            label: req.strategy.label(),
-                            points,
-                        }))
+                        Err(EngineError::panic(&job.label, message.clone()))
                     }
                 }
             })
@@ -1030,86 +1031,122 @@ impl Engine {
     }
 }
 
-/// A job's phase-1 products, shared by all of its tasks.
-struct Resolved {
-    graph: Arc<HttGraph>,
-    /// `exp(i·H·t)` of the graph's working Hamiltonian, for jobs that
-    /// evaluate fidelity.
-    exact: Option<Arc<Matrix>>,
-}
-
-/// One point-level unit of work.
-struct Task {
-    job: usize,
-    slot: usize,
-    kind: TaskKind,
-}
-
-enum TaskKind {
-    Compile {
-        request: CompileRequest,
-        graph: Arc<HttGraph>,
-        exact: Option<Arc<Matrix>>,
-    },
-    SweepPoint {
-        graph: Arc<HttGraph>,
-        exact: Option<Arc<Matrix>>,
-        config: SweepConfig,
-        epsilon: f64,
-        seed: u64,
-    },
-}
-
-enum TaskOutput {
-    Compiled(Result<CompileOutcome, marqsim_core::CompileError>),
-    Point(Result<ExperimentPoint, marqsim_core::CompileError>),
-    /// The job was cancelled before this task started.
-    Cancelled,
-}
-
-impl Task {
-    fn run(self, cancel: &CancelToken) -> TaskOutput {
-        if cancel.is_cancelled() {
-            return TaskOutput::Cancelled;
-        }
-        match self.kind {
-            TaskKind::Compile {
-                request,
-                graph,
-                exact,
-            } => {
-                let outcome = Compiler::new(request.config.clone())
-                    .compile_with_htt(&graph)
-                    .map(|result| {
-                        let fidelity = exact.map(|exact| {
-                            evaluate_fidelity_against(
-                                &result.hamiltonian,
-                                request.config.time,
-                                &result.sequence,
-                                &exact,
-                            )
-                        });
-                        CompileOutcome {
-                            label: request.label,
-                            result,
-                            fidelity,
-                        }
-                    });
-                TaskOutput::Compiled(outcome)
+/// Starts `run(job)` on a new coordinator thread named after the job. The
+/// job crosses to the thread only once the thread exists, so a spawn that
+/// fails hands it back with the error.
+fn spawn_coordinator<J: Send + 'static>(
+    id: JobId,
+    job: J,
+    run: impl FnOnce(J) + Send + 'static,
+) -> Result<(), (J, std::io::Error)> {
+    if refuse_spawn() {
+        return Err((
+            job,
+            std::io::Error::other("coordinator spawn refused (test seam)"),
+        ));
+    }
+    let (handoff, pickup) = channel::<J>();
+    let spawned = std::thread::Builder::new()
+        .name(format!("marqsim-job-{}", id.0))
+        .spawn(move || {
+            if let Ok(job) = pickup.recv() {
+                run(job);
             }
-            TaskKind::SweepPoint {
-                graph,
-                exact,
-                config,
-                epsilon,
-                seed,
-            } => TaskOutput::Point(compile_point_with(
-                &graph,
-                &config,
-                epsilon,
-                seed,
-                exact.as_deref(),
-            )),
+        });
+    match spawned {
+        Ok(_) => handoff.send(job).map_err(|SendError(job)| {
+            let error = std::io::Error::other("the coordinator exited before its job arrived");
+            (job, error)
+        }),
+        Err(error) => Err((job, error)),
+    }
+}
+
+/// Whether coordinator spawns fail: a test seam, never set outside tests.
+#[cfg(not(test))]
+fn refuse_spawn() -> bool {
+    false
+}
+
+#[cfg(test)]
+use tests::refuse_spawn;
+
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    use super::{
+        Engine, EngineConfig, EngineError, SubmitOptions, Workload, WorkloadCtx, WorkloadOutput,
+    };
+
+    thread_local! {
+        /// Set by a test to make every coordinator spawn on its thread fail.
+        static REFUSE_SPAWN: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(super) fn refuse_spawn() -> bool {
+        REFUSE_SPAWN.get()
+    }
+
+    struct Noop;
+
+    impl Workload for Noop {
+        fn label(&self) -> &str {
+            "noop"
         }
+        fn total_units(&self) -> usize {
+            1
+        }
+        fn run(&self, _ctx: &WorkloadCtx<'_>) -> Result<WorkloadOutput, EngineError> {
+            Ok(WorkloadOutput::new(()))
+        }
+    }
+
+    #[test]
+    fn a_coordinator_that_cannot_spawn_fails_its_job_once() {
+        let engine = Arc::new(Engine::new(EngineConfig::default().with_threads(1)));
+        REFUSE_SPAWN.set(true);
+
+        let completions = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&completions);
+        let control = engine.submit_with_hooks(
+            Noop,
+            SubmitOptions::default(),
+            |_, _| {},
+            move |_, outcome| {
+                seen.fetch_add(1, Ordering::Relaxed);
+                match outcome {
+                    Err(EngineError::Workload { label, message }) => {
+                        assert_eq!(label, "noop");
+                        assert!(message.contains("refused"), "{message}");
+                    }
+                    other => panic!("expected a structured spawn error, got {other:?}"),
+                }
+            },
+        );
+        assert_eq!(
+            completions.load(Ordering::Relaxed),
+            1,
+            "on_complete fired once"
+        );
+        assert!(control.is_finished());
+        assert_eq!(
+            engine.active_jobs(),
+            0,
+            "the failed submit left no active job"
+        );
+
+        let handle = engine.submit(Noop);
+        assert!(matches!(
+            handle.collect(),
+            Err(EngineError::Workload { .. })
+        ));
+        assert_eq!(engine.active_jobs(), 0);
+
+        REFUSE_SPAWN.set(false);
+        engine.submit(Noop).collect().unwrap();
+        assert_eq!(engine.active_jobs(), 0);
     }
 }

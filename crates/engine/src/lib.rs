@@ -35,20 +35,22 @@
 //!   outcome collection. This is the layer the `marqsim-serve` TCP
 //!   front-end multiplexes client connections onto.
 //!
-//! The closed `EngineJob` / `CompileBatch` enum API that predated the
-//! `Workload` trait was deprecated for one release and has been removed;
-//! `docs/engine.md` in the repository root keeps the migration guide.
-//!
 //! # Job model
 //!
-//! Built-in compile/sweep workloads run on a two-phase batch machine: the
-//! engine first resolves one HTT graph per job (through the cache, builds
-//! running concurrently on the pool), then expands every job into
-//! *point-level tasks* — one task per compile request, one per
-//! `(ε, repetition)` sweep point — on a single work queue. Tasks from
-//! different jobs interleave, so many small sweeps load-balance exactly as
-//! well as one large one. Custom workloads get the same pool through
-//! [`WorkloadCtx::map`].
+//! Every job runs through one runner: a submitted job on its own
+//! coordinator thread, a synchronous one ([`Engine::run_workload`],
+//! [`Engine::compile_many`], [`Engine::run_sweeps`]) inline on the caller's
+//! thread. Either way it gets a [`JobId`], a `job` trace span that its pool
+//! tasks nest under, and a place in the engine's job instruments.
+//!
+//! Built-in compile/sweep workloads run on a two-phase batch machine. A job
+//! is a list of compile points sharing one Hamiltonian and strategy: a
+//! compile is one point, a sweep its `(ε, repetition)` grid. The engine
+//! first resolves one HTT graph per job (through the cache, builds running
+//! concurrently on the pool), then runs every point as one *point-level
+//! task* on a single work queue. Tasks from different jobs interleave, so
+//! many small sweeps load-balance exactly as well as one large one. Custom
+//! workloads get the same pool through [`WorkloadCtx::map`].
 //!
 //! # Determinism
 //!
@@ -310,32 +312,6 @@ mod tests {
         assert_eq!(stats.graphs, 2);
         assert_eq!(stats.components, 1);
         assert_eq!(stats.component_hits, 1, "GC-RP reused GC's P_gc");
-    }
-
-    #[test]
-    fn progress_reports_reach_the_total() {
-        let completions = Arc::new(AtomicUsize::new(0));
-        let last_total = Arc::new(AtomicUsize::new(0));
-        let (c, t) = (Arc::clone(&completions), Arc::clone(&last_total));
-        let engine = Engine::new(EngineConfig::default().with_threads(2)).with_progress(
-            move |progress: Progress| {
-                c.fetch_add(1, Ordering::Relaxed);
-                t.store(progress.total, Ordering::Relaxed);
-                assert!(progress.completed <= progress.total);
-            },
-        );
-        let config = SweepConfig {
-            time: 0.5,
-            epsilons: vec![0.1, 0.05],
-            repeats: 3,
-            base_seed: 1,
-            evaluate_fidelity: false,
-        };
-        engine
-            .run_sweep(&ham(), &TransitionStrategy::QDrift, &config)
-            .unwrap();
-        assert_eq!(completions.load(Ordering::Relaxed), 6);
-        assert_eq!(last_total.load(Ordering::Relaxed), 6);
     }
 
     #[test]

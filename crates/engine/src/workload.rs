@@ -1,12 +1,7 @@
 //! The open job API: the [`Workload`] trait and its execution context.
 //!
-//! Earlier revisions of the engine exposed a *closed* job enum
-//! (`EngineJob::{Compile, Sweep}`): every new kind of work meant enum
-//! surgery in the engine, the serve protocol, and every binary that
-//! submitted jobs. This module inverts that relationship — in the spirit of
-//! typed message-passing protocols, where the protocol rather than the
-//! implementation defines what can flow between concurrent parties — by
-//! making the *job surface* a trait:
+//! The *job surface* is a trait, so the engine schedules work without
+//! knowing its shape:
 //!
 //! * [`Workload`] — anything with a label, a unit count, and a `run` body.
 //!   Implementations live anywhere (other crates, test files, downstream
@@ -22,11 +17,11 @@
 //!   serve layer enforces, and the [`ProgressCadence`] that coalesces
 //!   progress events.
 //!
-//! Four workloads ship built in: [`CompileWorkload`] and [`SweepWorkload`]
-//! (the old enum variants), [`PerturbAverageWorkload`] (the `P_rp`
-//! perturbation average with its sample solves fanned out over the pool),
-//! and [`BenchmarkSuiteWorkload`] (a multi-Hamiltonian × multi-strategy
-//! sweep grid — the shape every `fig*`/`table*` binary used to hand-roll).
+//! Four workloads ship built in: [`CompileWorkload`], [`SweepWorkload`],
+//! [`PerturbAverageWorkload`] (the `P_rp` perturbation average with its
+//! sample solves fanned out over the pool), and [`BenchmarkSuiteWorkload`]
+//! (a multi-Hamiltonian × multi-strategy sweep grid — the shape every
+//! `fig*`/`table*` binary used to hand-roll).
 //!
 //! # Cancellation contract
 //!
@@ -60,10 +55,7 @@ use marqsim_obs::{lockcheck, trace};
 use marqsim_pauli::Hamiltonian;
 
 use crate::cache::TransitionCache;
-use crate::engine::{
-    BuiltinJob, BuiltinOutcome, CompileOutcome, CompileRequest, Engine, Progress, ProgressFn,
-    SweepRequest,
-};
+use crate::engine::{CompileOutcome, CompileRequest, Engine, Progress, ProgressFn, SweepRequest};
 use crate::error::EngineError;
 use crate::job::{CancelToken, JobState};
 use crate::pool::Priority;
@@ -276,9 +268,9 @@ impl SubmitOptions {
 /// The engine side of the progress contract: records every report into the
 /// job's live snapshot, enforces monotonicity, and throttles the callback
 /// to the submission's [`ProgressCadence`].
-pub(crate) struct ProgressSink {
+struct ProgressSink {
     callback: Option<Arc<ProgressFn>>,
-    state: Option<Arc<JobState>>,
+    state: Arc<JobState>,
     cadence: ProgressCadence,
     throttle: Mutex<ThrottleState>,
 }
@@ -292,9 +284,9 @@ struct ThrottleState {
 }
 
 impl ProgressSink {
-    pub(crate) fn new(
+    fn new(
         callback: Option<Arc<ProgressFn>>,
-        state: Option<Arc<JobState>>,
+        state: Arc<JobState>,
         cadence: ProgressCadence,
     ) -> Self {
         ProgressSink {
@@ -305,7 +297,7 @@ impl ProgressSink {
         }
     }
 
-    pub(crate) fn emit(&self, progress: Progress) {
+    fn emit(&self, progress: Progress) {
         let (advanced, emit) = {
             let _witness = lockcheck::acquire("engine.workload.throttle");
             let mut throttle = self.throttle.lock().unwrap_or_else(PoisonError::into_inner);
@@ -341,9 +333,7 @@ impl ProgressSink {
         // not — a stale lower count must not run the snapshot backwards
         // either.
         if advanced {
-            if let Some(state) = &self.state {
-                state.record_progress(progress);
-            }
+            self.state.record_progress(progress);
         }
         if emit {
             if let Some(callback) = &self.callback {
@@ -361,15 +351,16 @@ impl ProgressSink {
 /// pool's fan-out, the job's cancellation token, and the throttled progress
 /// sink.
 ///
-/// Progress from [`map`](Self::map) (and the built-ins' batch machinery)
-/// is **cumulative across phases**: the context tracks how many units
-/// earlier `map` calls completed and offsets later calls by it, reporting
-/// against the workload's [`total_units`](Workload::total_units) — so a
-/// workload that maps twice still emits one monotone stream ending at
-/// `completed == total`. (If phases turn out larger than `total_units`
-/// promised, the reported total grows to match rather than overshooting.)
+/// Progress from [`map`](Self::map), which the built-ins' batch machinery
+/// runs its point tasks through, is **cumulative across phases**: the
+/// context tracks how many units earlier `map` calls completed and offsets
+/// later calls by it, reporting against the workload's
+/// [`total_units`](Workload::total_units) — so a workload that maps twice
+/// still emits one monotone stream ending at `completed == total`. (If
+/// phases turn out larger than `total_units` promised, the reported total
+/// grows to match rather than overshooting.)
 pub struct WorkloadCtx<'a> {
-    engine: &'a Engine,
+    pub(crate) engine: &'a Engine,
     label: String,
     cancel: CancelToken,
     sink: ProgressSink,
@@ -377,28 +368,27 @@ pub struct WorkloadCtx<'a> {
     /// The workload's own unit count, the denominator of cumulative
     /// progress.
     total_units: usize,
-    /// Units completed by earlier `map` / `run_builtin` phases.
+    /// Units completed by earlier `map` phases and manual reports.
     units_done: AtomicUsize,
     /// The innermost span open when this context was created — the job
-    /// span for submitted jobs (see [`WorkloadCtx::job_span`]).
+    /// span (see [`WorkloadCtx::job_span`]).
     job_span: Option<trace::SpanId>,
 }
 
 impl<'a> WorkloadCtx<'a> {
     pub(crate) fn new(
         engine: &'a Engine,
-        label: String,
-        cancel: CancelToken,
-        sink: ProgressSink,
-        priority: Priority,
+        state: &Arc<JobState>,
+        on_progress: Option<Arc<ProgressFn>>,
+        options: &SubmitOptions,
         total_units: usize,
     ) -> Self {
         WorkloadCtx {
             engine,
-            label,
-            cancel,
-            sink,
-            priority,
+            label: state.label.clone(),
+            cancel: state.cancel.clone(),
+            sink: ProgressSink::new(on_progress, Arc::clone(state), options.progress_every),
+            priority: options.priority,
             total_units,
             units_done: AtomicUsize::new(0),
             job_span: trace::current_span(),
@@ -544,37 +534,6 @@ impl<'a> WorkloadCtx<'a> {
         };
         built.map_err(|e| EngineError::compile(&self.label, e))
     }
-
-    /// Runs a list of built-in jobs through the engine's batched machinery
-    /// (deduplicated graph resolution, one flattened point-task queue) with
-    /// this context's cancellation, cumulative progress, and priority.
-    pub(crate) fn run_builtin(
-        &self,
-        jobs: Vec<BuiltinJob>,
-    ) -> Vec<Result<BuiltinOutcome, EngineError>> {
-        let planned: usize = jobs
-            .iter()
-            .map(|job| match job {
-                BuiltinJob::Compile(_) => 1,
-                BuiltinJob::Sweep(req) => req.config.epsilons.len() * req.config.repeats,
-            })
-            .sum();
-        let base = self.units_done.load(Ordering::Relaxed);
-        let total = self.total_units.max(base + planned);
-        let outcomes = self.engine.run_builtin(
-            jobs,
-            &self.cancel,
-            &|done, _tasks| {
-                self.sink.emit(Progress {
-                    completed: base + done,
-                    total,
-                })
-            },
-            self.priority,
-        );
-        self.units_done.fetch_max(base + planned, Ordering::Relaxed);
-        outcomes
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -606,13 +565,10 @@ impl Workload for CompileWorkload {
     }
 
     fn run(&self, ctx: &WorkloadCtx<'_>) -> Result<WorkloadOutput, EngineError> {
-        ctx.run_builtin(vec![BuiltinJob::Compile(self.request.clone())])
+        ctx.compile_batch(vec![self.request.clone()])
             .pop()
-            .expect("one outcome per job")
-            .map(|outcome| match outcome {
-                BuiltinOutcome::Compiled(compiled) => WorkloadOutput::new(*compiled),
-                BuiltinOutcome::Swept(_) => unreachable!("compile jobs produce compile outcomes"),
-            })
+            .expect("one outcome per request")
+            .map(WorkloadOutput::new)
     }
 }
 
@@ -642,13 +598,10 @@ impl Workload for SweepWorkload {
     }
 
     fn run(&self, ctx: &WorkloadCtx<'_>) -> Result<WorkloadOutput, EngineError> {
-        ctx.run_builtin(vec![BuiltinJob::Sweep(self.request.clone())])
+        ctx.sweep_batch(vec![self.request.clone()])
             .pop()
-            .expect("one outcome per job")
-            .map(|outcome| match outcome {
-                BuiltinOutcome::Swept(sweep) => WorkloadOutput::new(sweep),
-                BuiltinOutcome::Compiled(_) => unreachable!("sweep jobs produce sweep outcomes"),
-            })
+            .expect("one outcome per request")
+            .map(WorkloadOutput::new)
     }
 }
 
@@ -901,11 +854,11 @@ impl Workload for BenchmarkSuiteWorkload {
     }
 
     fn run(&self, ctx: &WorkloadCtx<'_>) -> Result<WorkloadOutput, EngineError> {
-        let jobs = self
+        let requests = self
             .cases
             .iter()
             .map(|case| {
-                BuiltinJob::Sweep(SweepRequest::new(
+                SweepRequest::new(
                     format!(
                         "{}/{}/{}",
                         self.label,
@@ -915,22 +868,17 @@ impl Workload for BenchmarkSuiteWorkload {
                     case.hamiltonian.clone(),
                     case.strategy.clone(),
                     case.config.clone(),
-                ))
+                )
             })
             .collect();
-        let outcomes = ctx.run_builtin(jobs);
+        let outcomes = ctx.sweep_batch(requests);
         let mut cases = Vec::with_capacity(self.cases.len());
         for (case, outcome) in self.cases.iter().zip(outcomes) {
-            match outcome? {
-                BuiltinOutcome::Swept(sweep) => cases.push(SuiteCaseResult {
-                    benchmark: case.benchmark.clone(),
-                    strategy: case.strategy.label(),
-                    sweep,
-                }),
-                BuiltinOutcome::Compiled(_) => {
-                    unreachable!("suite cases are sweeps")
-                }
-            }
+            cases.push(SuiteCaseResult {
+                benchmark: case.benchmark.clone(),
+                strategy: case.strategy.label(),
+                sweep: outcome?,
+            });
         }
         Ok(WorkloadOutput::new(BenchmarkSuiteResult { cases }))
     }

@@ -2,8 +2,9 @@
 //! placement, merge semantics, and quantile bounds over random inputs,
 //! plus the span invariants the tracing docs promise — child spans nest
 //! arithmetically inside their parent's interval, a job's queue-wait
-//! plus run time never exceeds its wall time, and a fidelity batch runs
-//! one exact-unitary task per distinct (Hamiltonian, t).
+//! plus run time never exceeds its wall time, every synchronous run is
+//! one `job` root, and a fidelity batch runs one exact-unitary task per
+//! distinct (Hamiltonian, t).
 //!
 //! The histogram properties run on isolated `Histogram` values, so they
 //! parallelize freely. The span properties share the process-global trace
@@ -16,9 +17,9 @@ use quickprop::{check, Config, Gen};
 
 use std::sync::Arc;
 
-use marqsim::core::experiment::SweepConfig;
-use marqsim::core::TransitionStrategy;
-use marqsim::engine::{Engine, EngineConfig, SweepRequest, SweepWorkload};
+use marqsim::core::experiment::{point_seed, SweepConfig};
+use marqsim::core::{CompilerConfig, TransitionStrategy};
+use marqsim::engine::{CompileRequest, Engine, EngineConfig, SweepRequest, SweepWorkload};
 use marqsim::obs::metrics::Histogram;
 use marqsim::obs::trace;
 use marqsim::pauli::Hamiltonian;
@@ -195,6 +196,23 @@ fn num(line: &str, key: &str) -> u64 {
         .unwrap_or_else(|_| panic!("non-numeric {key}: {line}"))
 }
 
+/// Whether the parent chain of the record `line` reaches the span
+/// `ancestor`.
+fn descends_from(lines: &[String], line: &str, ancestor: u64) -> bool {
+    let parent = |record: &str| field(record, "parent").and_then(|p| p.parse::<u64>().ok());
+    let mut cursor = parent(line);
+    while let Some(id) = cursor {
+        if id == ancestor {
+            return true;
+        }
+        cursor = lines
+            .iter()
+            .find(|l| num(l, "id") == id)
+            .and_then(|l| parent(l));
+    }
+    false
+}
+
 #[test]
 fn child_spans_nest_within_their_parent_interval() {
     let _guard = SINK_GUARD.lock().unwrap_or_else(PoisonError::into_inner);
@@ -286,29 +304,12 @@ fn queue_wait_plus_run_stays_within_the_job_wall_time() {
     // Every queue_wait and pool_task whose parent chain reaches the job
     // closes inside (or within slack of) the job's interval, and the
     // wait + run totals cannot exceed workers × the job's wall time.
-    let parent_of = |id: u64| -> Option<u64> {
-        lines
-            .iter()
-            .find(|l| num(l, "id") == id)
-            .and_then(|l| field(l, "parent"))
-            .and_then(|p| p.parse().ok())
-    };
-    let descends_from_job = |line: &str| -> bool {
-        let mut cursor = field(line, "parent").and_then(|p| p.parse::<u64>().ok());
-        while let Some(id) = cursor {
-            if id == job_id {
-                return true;
-            }
-            cursor = parent_of(id);
-        }
-        false
-    };
     let mut waits = 0u64;
     let mut runs = 0u64;
     let mut wait_total = 0u64;
     let mut run_total = 0u64;
     for line in lines.iter() {
-        if !descends_from_job(line) {
+        if !descends_from(&lines, line, job_id) {
             continue;
         }
         match field(line, "span") {
@@ -351,6 +352,71 @@ fn queue_wait_plus_run_stays_within_the_job_wall_time() {
         "waits {wait_total}µs + runs {run_total}µs exceed {workers}× the job wall {}µs",
         num(job, "dur_us")
     );
+}
+
+#[test]
+fn every_synchronous_run_is_one_job_root() {
+    let _guard = SINK_GUARD.lock().unwrap_or_else(PoisonError::into_inner);
+
+    // One sweep, run synchronously three ways: as a workload, as a sweep
+    // batch, and as its points compiled one request each.
+    let ham = Hamiltonian::parse("0.9 ZZZZ + 0.7 XXII + 0.5 IYYI + 0.3 IIZZ").unwrap();
+    let strategy = TransitionStrategy::marqsim_gc();
+    let config = SweepConfig::quick(0.5);
+    let sweep = SweepRequest::new("obs/sync", ham.clone(), strategy.clone(), config.clone());
+    let mut points = Vec::new();
+    for (eps_idx, &epsilon) in config.epsilons.iter().enumerate() {
+        for rep in 0..config.repeats {
+            let point = CompilerConfig::new(config.time, epsilon)
+                .with_strategy(strategy.clone())
+                .with_seed(point_seed(&config, eps_idx, rep))
+                .without_circuit();
+            points.push(CompileRequest::new("obs/sync", ham.clone(), point));
+        }
+    }
+    for name in ["run_workload", "run_sweeps", "compile_many"] {
+        let buffer = trace::install_memory_sink();
+        let engine = Engine::new(EngineConfig::default().with_threads(2));
+        match name {
+            "run_workload" => {
+                engine
+                    .run_workload(&SweepWorkload::new(sweep.clone()))
+                    .unwrap();
+            }
+            "run_sweeps" => {
+                for outcome in engine.run_sweeps(vec![sweep.clone()]) {
+                    outcome.unwrap();
+                }
+            }
+            _ => {
+                for outcome in engine.compile_many(points.clone()) {
+                    outcome.unwrap();
+                }
+            }
+        }
+        // Dropping the engine joins its workers, so every task span is in.
+        drop(engine);
+
+        let lines = buffer.lock().unwrap_or_else(PoisonError::into_inner);
+        let jobs: Vec<&String> = lines
+            .iter()
+            .filter(|l| field(l, "span") == Some("job"))
+            .collect();
+        assert_eq!(jobs.len(), 1, "{name}: exactly one job span: {lines:?}");
+        let job_id = num(jobs[0], "id");
+        let tasks: Vec<&String> = lines
+            .iter()
+            .filter(|l| matches!(field(l, "span"), Some("pool_task" | "queue_wait")))
+            .collect();
+        assert!(!tasks.is_empty(), "{name}: no pool spans: {lines:?}");
+        for task in tasks {
+            assert!(
+                descends_from(&lines, task, job_id),
+                "{name}: pool span outside the job: {task}\njob: {}",
+                jobs[0]
+            );
+        }
+    }
 }
 
 #[test]
