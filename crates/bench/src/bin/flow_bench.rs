@@ -7,7 +7,7 @@
 //! size:
 //!
 //! ```text
-//! [flow] backend=network_simplex strings=500 states=500 solve_s=0.790 cost=3.4
+//! [flow] backend=network_simplex strings=500 states=500 pivots=14824 solve_s=0.517 cost=5.586158
 //! ```
 //!
 //! Run with `cargo run --release -p marqsim-bench --bin flow_bench
@@ -20,18 +20,24 @@
 //! printing one line per size:
 //!
 //! ```text
-//! [flow] warm=network_simplex strings=500 samples=8 repivot_s=0.041 cold_s=0.513 speedup=12.5 equal=true
+//! [flow] warm=network_simplex strings=500 samples=8 pivots=16717 repivot_s=0.828 cold_s=4.796 speedup=5.8 equal=true
 //! ```
 //!
 //! `equal` asserts the re-pivoted optimum matches the cold optimum to 1e-9
 //! on every sample (exit 1 otherwise) — the warm-start correctness
 //! contract the CI smoke leg greps for.
+//!
+//! `pivots` is read from the flow layer's own `marqsim_flow_pivots_total`
+//! counter: the cold solve's basis exchanges, or the warm re-pivots summed
+//! over the samples. The pivot path is deterministic, so CI pins the
+//! 500-string counts — a change to the pricing or leaving-arc rule fails
+//! there instead of only moving timings.
 
 use marqsim_bench::{header, timed};
 use marqsim_core::gate_cancel::cnot_cost_matrix;
 use marqsim_flow::{bipartite, NetworkSimplex};
 use marqsim_hamlib::random::{random_hamiltonian, RandomHamiltonianParams};
-use marqsim_obs::{error, info};
+use marqsim_obs::{error, info, metrics};
 
 /// Deterministic xorshift cost perturbation: `+1.0` on roughly half of the
 /// off-diagonal entries, mirroring the §5.5 perturbation shape.
@@ -59,6 +65,11 @@ fn perturbed(costs: &[Vec<f64>], seed: u64) -> Vec<Vec<f64>> {
                 .collect()
         })
         .collect()
+}
+
+/// Basis exchanges so far in this process, from the flow layer's counter.
+fn pivots_so_far() -> u64 {
+    metrics::global().counter("marqsim_flow_pivots_total").get()
 }
 
 /// The `table2` random Hamiltonian with `strings` terms, split, with its
@@ -93,6 +104,7 @@ fn run_warm(sizes: &[usize]) {
         };
 
         let mut repivot_s = 0.0;
+        let mut repivots = 0u64;
         let mut cold_s = 0.0;
         let mut equal = true;
         for sample in 0..SAMPLES {
@@ -103,9 +115,11 @@ fn run_warm(sizes: &[usize]) {
                 error!("flow", "cold re-solve failed at {strings} strings: {cause}");
                 std::process::exit(1);
             });
+            let before = pivots_so_far();
             let (warm, seconds) =
                 timed(|| bipartite::solve_warm(&pi, &sample_costs, |i, j| i != j, &basis));
             repivot_s += seconds;
+            repivots += pivots_so_far() - before;
             let (warm, _) = warm.unwrap_or_else(|cause| {
                 error!("flow", "warm re-solve failed at {strings} strings: {cause}");
                 std::process::exit(1);
@@ -121,7 +135,7 @@ fn run_warm(sizes: &[usize]) {
         }
         info!(
             "flow",
-            "warm={} strings={strings} samples={SAMPLES} repivot_s={repivot_s:.3} cold_s={cold_s:.3} speedup={:.1} equal={equal}",
+            "warm={} strings={strings} samples={SAMPLES} pivots={repivots} repivot_s={repivot_s:.3} cold_s={cold_s:.3} speedup={:.1} equal={equal}",
             NetworkSimplex.as_str(),
             cold_s / repivot_s.max(1e-12),
         );
@@ -151,11 +165,13 @@ fn main() {
     header("flow_bench: min-cost-flow timing (gate-cancellation model)");
     for &strings in sizes {
         let (states, pi, costs) = instance(strings);
+        let before = pivots_so_far();
         let (solution, seconds) = timed(|| bipartite::solve(&pi, &costs, |i, j| i != j));
+        let pivots = pivots_so_far() - before;
         match solution {
             Ok(flow) => info!(
                 "flow",
-                "backend={} strings={strings} states={states} solve_s={seconds:.3} cost={:.6}",
+                "backend={} strings={strings} states={states} pivots={pivots} solve_s={seconds:.3} cost={:.6}",
                 NetworkSimplex.as_str(),
                 flow.cost,
             ),

@@ -42,11 +42,27 @@
 //! misclassify arcs whose true reduced cost sits inside the rounding noise
 //! and pivot endlessly on them.
 //!
-//! Tree bookkeeping is deliberately simple: parent/depth/potential arrays
-//! are recomputed for the whole tree after each basis exchange (O(n) per
-//! pivot). The solve cost is dominated by pricing scans over the arc list,
-//! so the simple recompute keeps the code auditable at no measurable cost
-//! for the bipartite transportation instances this crate serves.
+//! **Pivot cost.** A pivot costs time in proportion to what it changes.
+//! Removing the leaving arc cuts the tree in two, and the side of the
+//! pivot cycle the leaving arc was found on says which endpoint of the
+//! entering arc lies in the cut-off subtree. The pivot hangs that endpoint
+//! below the other one through the entering arc and walks only that
+//! subtree over the tree adjacency (intrusive lists of arc ends, so
+//! linking and unlinking never allocate), resetting parent, depth and
+//! potential through the same `π(parent) ± c` step the whole-tree
+//! recompute uses. Every other node keeps its root path, so every
+//! potential is the float sum a full recompute would give, bit for bit,
+//! whatever the costs; the full recompute runs only on the initial basis.
+//! Pricing streams a compact per-arc array (`u32` endpoints, cost, and a
+//! sign in {−1, 0, +1} derived from the arc's state and residual) instead
+//! of the full arcs, and computes the scale-aware tolerance only for an
+//! arc that already beats the block's best violation and `PRICE_EPS`. The
+//! pivot sequence, flows and exported basis are those of the whole-tree
+//! recompute with full-arc pricing; test builds assert that after every
+//! pivot and block scan. On `flow_bench`'s cold 500-string instance
+//! (14 824 pivots, ~250k arcs) pricing fell from 1.56–1.70 s to
+//! 0.37–0.55 s and tree updates from 0.36–0.49 s to 0.04–0.05 s, and the
+//! solve from 1.30–1.81 s to 0.58–0.67 s (`BENCH.md`).
 
 use std::time::Instant;
 
@@ -100,6 +116,65 @@ impl Arc {
     }
 }
 
+/// The pricing view of one arc, kept beside the full [`Arc`] so a block
+/// scan streams 24 bytes per arc instead of 48. `sign` turns the reduced
+/// cost into the pricing violation: `−1` at a lower bound with headroom,
+/// `+1` at an upper bound, `0` for tree arcs and saturated lower-bound
+/// arcs. It is derived from the arc's state and residual, and the pivot
+/// refreshes it for the two arcs whose state changes.
+#[derive(Debug, Clone, Copy)]
+struct PriceArc {
+    from: u32,
+    to: u32,
+    cost: f64,
+    sign: f64,
+}
+
+impl PriceArc {
+    /// Node ids are stored as `u32`. The cast cannot truncate: a solve
+    /// allocates its per-node arrays (one artificial arc per node among
+    /// them) before this runs, and those of a 2³²-node network do not fit
+    /// in memory.
+    fn of(arc: &Arc) -> Self {
+        Self {
+            from: arc.from as u32,
+            to: arc.to as u32,
+            cost: arc.cost,
+            sign: violation_sign(arc),
+        }
+    }
+
+    /// The pricing violation `sign · (c + π(from) − π(to))`: positive iff
+    /// pivoting the arc in improves the objective. Multiplying by ±1 is
+    /// exact, so this equals the full-arc definition the tests check it
+    /// against (a zero sign may give `-0.0`, which compares equal to `0.0`).
+    fn violation(&self, potential: &[f64]) -> f64 {
+        self.sign * (self.cost + potential[self.from as usize] - potential[self.to as usize])
+    }
+
+    /// Scale-aware eligibility threshold: the fixed `PRICE_EPS` floor or
+    /// the rounding-noise scale of the reduced-cost cancellation,
+    /// whichever is larger. Potentials on instances still carrying big-M
+    /// artificial arcs in the basis are O(M); comparing their O(M·ε_mach)
+    /// cancellation noise against an absolute 1e-9 misclassifies arcs once
+    /// `M` crosses ~1e7 (1000+ strings with wide cost spreads).
+    fn tolerance(&self, potential: &[f64]) -> f64 {
+        let scale = self.cost.abs()
+            + potential[self.from as usize].abs()
+            + potential[self.to as usize].abs();
+        PRICE_EPS.max(PRICE_REL_EPS * scale)
+    }
+
+    /// Whether the arc may enter the basis.
+    fn eligible(&self, potential: &[f64]) -> bool {
+        self.violation(potential) > self.tolerance(potential)
+    }
+}
+
+/// End-of-list marker in the tree adjacency lists.
+const NO_END: usize = usize::MAX;
+
+#[cfg_attr(test, derive(Clone))]
 struct Tree {
     /// Parent node (`usize::MAX` at the root).
     parent: Vec<usize>,
@@ -107,8 +182,94 @@ struct Tree {
     parent_arc: Vec<usize>,
     depth: Vec<usize>,
     potential: Vec<f64>,
-    /// Tree adjacency: basic arc ids per node.
-    adjacency: Vec<Vec<usize>>,
+    /// Tree adjacency as intrusive doubly linked lists of arc ends: end
+    /// `2a` is arc `a` in its `from` node's list, end `2a + 1` in its `to`
+    /// node's list. Linking and unlinking a basic arc is O(1) and never
+    /// allocates. An end's links are written when it is linked and read
+    /// only while it is, so the per-end arrays need no fill: they start
+    /// zeroed, which the allocator can provide without writing them.
+    first_end: Vec<usize>,
+    next_end: Vec<usize>,
+    prev_end: Vec<usize>,
+    /// Depth-first stack shared by the whole-tree recompute and the
+    /// subtree re-hang. It holds each node at most once, so its
+    /// node-count capacity never grows.
+    stack: Vec<usize>,
+}
+
+impl Tree {
+    fn new(nodes: usize, arcs: usize) -> Self {
+        Self {
+            parent: vec![usize::MAX; nodes],
+            parent_arc: vec![usize::MAX; nodes],
+            depth: vec![0; nodes],
+            potential: vec![0.0; nodes],
+            first_end: vec![NO_END; nodes],
+            next_end: vec![0; 2 * arcs],
+            prev_end: vec![0; 2 * arcs],
+            stack: Vec::with_capacity(nodes),
+        }
+    }
+
+    /// Adds basic arc `arc_id` to the adjacency lists of both endpoints.
+    fn link(&mut self, arc_id: usize, arc: &Arc) {
+        self.push_end(2 * arc_id, arc.from);
+        self.push_end(2 * arc_id + 1, arc.to);
+    }
+
+    /// Removes arc `arc_id` from the adjacency lists of both endpoints.
+    fn unlink(&mut self, arc_id: usize, arc: &Arc) {
+        self.remove_end(2 * arc_id, arc.from);
+        self.remove_end(2 * arc_id + 1, arc.to);
+    }
+
+    fn push_end(&mut self, end: usize, node: usize) {
+        let head = self.first_end[node];
+        self.next_end[end] = head;
+        self.prev_end[end] = NO_END;
+        if head != NO_END {
+            self.prev_end[head] = end;
+        }
+        self.first_end[node] = end;
+    }
+
+    fn remove_end(&mut self, end: usize, node: usize) {
+        let (prev, next) = (self.prev_end[end], self.next_end[end]);
+        if prev == NO_END {
+            self.first_end[node] = next;
+        } else {
+            self.next_end[prev] = next;
+        }
+        if next != NO_END {
+            self.prev_end[next] = prev;
+        }
+    }
+
+    /// Hangs `child` below `parent` through basic arc `arc_id`. Tree arcs
+    /// have zero reduced cost, which fixes `π(child)` from `π(parent)`;
+    /// the whole-tree recompute and the subtree re-hang both come through
+    /// here, so every potential is the same float sum over its root path.
+    fn attach(&mut self, child: usize, parent: usize, arc_id: usize, arc: &Arc) {
+        self.parent[child] = parent;
+        self.parent_arc[child] = arc_id;
+        self.depth[child] = self.depth[parent] + 1;
+        self.potential[child] = if arc.from == parent {
+            // parent → child basic: c + π(parent) − π(child) = 0.
+            self.potential[parent] + arc.cost
+        } else {
+            self.potential[parent] - arc.cost
+        };
+    }
+}
+
+/// The node across arc end `end` (see [`Tree::first_end`]).
+fn far_node(arcs: &[Arc], end: usize) -> usize {
+    let arc = &arcs[end / 2];
+    if end.is_multiple_of(2) {
+        arc.to
+    } else {
+        arc.from
+    }
 }
 
 /// The shared cold/warm solve. `warm` is a basis to restore; if it does
@@ -213,17 +374,10 @@ pub(crate) fn solve(
         }
     }
 
-    let mut tree = Tree {
-        parent: vec![usize::MAX; n + 1],
-        parent_arc: vec![usize::MAX; n + 1],
-        depth: vec![0; n + 1],
-        potential: vec![0.0; n + 1],
-        adjacency: vec![Vec::new(); n + 1],
-    };
+    let mut tree = Tree::new(n + 1, total_arcs);
     for (arc_id, arc) in arcs.iter().enumerate() {
         if arc.state == ArcState::Tree {
-            tree.adjacency[arc.from].push(arc_id);
-            tree.adjacency[arc.to].push(arc_id);
+            tree.link(arc_id, arc);
         }
     }
     if recompute_tree(&mut tree, &arcs, root) != n + 1 {
@@ -245,17 +399,14 @@ pub(crate) fn solve(
             arc.flow = 0.0;
             arc.state = ArcState::Lower;
         }
-        for adjacency in &mut tree.adjacency {
-            adjacency.clear();
-        }
-        for v in 0..n {
-            let arc_id = num_real + v;
-            tree.adjacency[v].push(arc_id);
-            tree.adjacency[root].push(arc_id);
+        tree.first_end.fill(NO_END);
+        for (arc_id, arc) in arcs.iter().enumerate().skip(num_real) {
+            tree.link(arc_id, arc);
         }
         let spanned = recompute_tree(&mut tree, &arcs, root);
         debug_assert_eq!(spanned, n + 1);
     }
+    let mut priced: Vec<PriceArc> = arcs.iter().map(PriceArc::of).collect();
 
     // Block-search pricing with the Bland's-rule watchdog.
     let block = ((total_arcs as f64).sqrt().ceil() as usize)
@@ -280,22 +431,11 @@ pub(crate) fn solve(
         let entering = if bland {
             // Bland's rule: the first eligible arc by id. Slower per
             // scan, provably cycle-free ordering.
-            (0..total_arcs).find(|&arc_id| {
-                let arc = &arcs[arc_id];
-                violation(arc, &tree) > price_tolerance(arc, &tree)
-            })
+            (0..total_arcs).find(|&arc_id| priced[arc_id].eligible(&tree.potential))
         } else {
-            let mut best = None;
-            let mut best_violation = 0.0f64;
-            for offset in 0..block {
-                let arc_id = (cursor + offset) % total_arcs;
-                let arc = &arcs[arc_id];
-                let violation = violation(arc, &tree);
-                if violation > price_tolerance(arc, &tree) && violation > best_violation {
-                    best_violation = violation;
-                    best = Some(arc_id);
-                }
-            }
+            let best = price_block(&priced, &tree.potential, cursor, block);
+            #[cfg(test)]
+            let best = reference::price_block(&arcs, &priced, &tree, cursor, block, best);
             cursor = (cursor + block) % total_arcs;
             best
         };
@@ -312,7 +452,7 @@ pub(crate) fn solve(
             }
             Some(entering) => {
                 clean_blocks = 0;
-                let delta = pivot(&mut tree, &mut arcs, root, entering);
+                let delta = pivot(&mut tree, &mut arcs, &mut priced, entering);
                 pivots += 1;
                 if pivots > pivot_cap {
                     return Err(FlowError::PivotLimit {
@@ -428,81 +568,115 @@ fn restore(
     true
 }
 
-/// Reduced cost `c + π(from) − π(to)` of an arc under the tree potentials.
-fn reduced_cost(arc: &Arc, tree: &Tree) -> f64 {
-    arc.cost + tree.potential[arc.from] - tree.potential[arc.to]
+/// One block of the block-search rule: the most-violating eligible arc
+/// among `block` arcs from `cursor`, wrapping past the last arc. The
+/// tolerance is only computed for an arc that already beats the best
+/// violation and `PRICE_EPS`; it is never below `PRICE_EPS`, so the pick
+/// is the one the full `violation > tolerance && violation > best` test
+/// makes.
+fn price_block(
+    priced: &[PriceArc],
+    potential: &[f64],
+    cursor: usize,
+    block: usize,
+) -> Option<usize> {
+    let total_arcs = priced.len();
+    let mut best = None;
+    let mut best_violation = 0.0f64;
+    for index in cursor..cursor + block {
+        let arc_id = if index >= total_arcs {
+            index - total_arcs
+        } else {
+            index
+        };
+        let arc = &priced[arc_id];
+        let violation = arc.violation(potential);
+        if violation > best_violation
+            && violation > PRICE_EPS
+            && violation > arc.tolerance(potential)
+        {
+            best_violation = violation;
+            best = Some(arc_id);
+        }
+    }
+    best
 }
 
-/// Scale-aware eligibility threshold for one arc: the fixed `PRICE_EPS`
-/// floor or the rounding-noise scale of the reduced-cost cancellation,
-/// whichever is larger. Potentials on instances still carrying big-M
-/// artificial arcs in the basis are O(M); comparing their O(M·ε_mach)
-/// cancellation noise against an absolute 1e-9 misclassifies arcs once
-/// `M` crosses ~1e7 (1000+ strings with wide cost spreads).
-fn price_tolerance(arc: &Arc, tree: &Tree) -> f64 {
-    let scale = arc.cost.abs() + tree.potential[arc.from].abs() + tree.potential[arc.to].abs();
-    PRICE_EPS.max(PRICE_REL_EPS * scale)
-}
-
-/// Pricing violation: positive iff pivoting the arc in improves the
-/// objective (lower-bound arcs want negative reduced cost, upper-bound
-/// arcs positive).
-fn violation(arc: &Arc, tree: &Tree) -> f64 {
+/// The sign that turns an arc's reduced cost into its pricing violation:
+/// lower-bound arcs want a negative reduced cost, upper-bound arcs a
+/// positive one.
+fn violation_sign(arc: &Arc) -> f64 {
     match arc.state {
         ArcState::Tree => 0.0,
         ArcState::Lower => {
             if arc.residual() > CAP_EPS {
-                -reduced_cost(arc, tree)
+                -1.0
             } else {
                 0.0
             }
         }
-        ArcState::Upper => reduced_cost(arc, tree),
+        ArcState::Upper => 1.0,
     }
 }
 
 /// Recomputes parent/depth/potential for the whole tree from `root` using
 /// the current tree adjacency, returning how many nodes were reached (a
 /// valid spanning tree reaches all of them). Tree arcs have zero reduced
-/// cost, which fixes every potential relative to `π(root) = 0`.
+/// cost, which fixes every potential relative to `π(root) = 0`. Runs once
+/// per solve on the initial basis, cold or restored; a restored basis may
+/// be corrupt, hence the `visited` guard against cycles.
 fn recompute_tree(tree: &mut Tree, arcs: &[Arc], root: usize) -> usize {
     tree.parent[root] = usize::MAX;
     tree.parent_arc[root] = usize::MAX;
     tree.depth[root] = 0;
     tree.potential[root] = 0.0;
-    let mut stack = vec![root];
     let mut visited = vec![false; tree.parent.len()];
     visited[root] = true;
     let mut reached = 1usize;
-    while let Some(u) = stack.pop() {
-        for idx in 0..tree.adjacency[u].len() {
-            let arc_id = tree.adjacency[u][idx];
-            let arc = &arcs[arc_id];
-            let v = if arc.from == u { arc.to } else { arc.from };
-            if visited[v] {
-                continue;
+    tree.stack.clear();
+    tree.stack.push(root);
+    while let Some(u) = tree.stack.pop() {
+        let mut end = tree.first_end[u];
+        while end != NO_END {
+            let v = far_node(arcs, end);
+            if !visited[v] {
+                visited[v] = true;
+                reached += 1;
+                tree.attach(v, u, end / 2, &arcs[end / 2]);
+                tree.stack.push(v);
             }
-            visited[v] = true;
-            reached += 1;
-            tree.parent[v] = u;
-            tree.parent_arc[v] = arc_id;
-            tree.depth[v] = tree.depth[u] + 1;
-            tree.potential[v] = if arc.from == u {
-                // u → v basic: c + π(u) − π(v) = 0.
-                tree.potential[u] + arc.cost
-            } else {
-                tree.potential[u] - arc.cost
-            };
-            stack.push(v);
+            end = tree.next_end[end];
         }
     }
     reached
 }
 
+/// Re-hangs the subtree the leaving arc cut off: `child` (its node on the
+/// entering arc) now hangs below `parent` through `entering`. Only the
+/// subtree's parent, depth and potential change; every other node keeps
+/// its root path and hence its values. In a tree the only neighbor of a
+/// node that is not its child is across its parent arc, so the walk needs
+/// no `visited` array.
+fn rehang(tree: &mut Tree, arcs: &[Arc], child: usize, parent: usize, entering: usize) {
+    tree.attach(child, parent, entering, &arcs[entering]);
+    tree.stack.push(child);
+    while let Some(u) = tree.stack.pop() {
+        let mut end = tree.first_end[u];
+        while end != NO_END {
+            if end / 2 != tree.parent_arc[u] {
+                let v = far_node(arcs, end);
+                tree.attach(v, u, end / 2, &arcs[end / 2]);
+                tree.stack.push(v);
+            }
+            end = tree.next_end[end];
+        }
+    }
+}
+
 /// One basis exchange around the entering arc's pivot cycle. Returns the
 /// flow change `delta` pushed around the cycle (zero for a degenerate
 /// pivot — the stall signal for the Bland's-rule watchdog).
-fn pivot(tree: &mut Tree, arcs: &mut [Arc], root: usize, entering: usize) -> f64 {
+fn pivot(tree: &mut Tree, arcs: &mut [Arc], priced: &mut [PriceArc], entering: usize) -> f64 {
     // Push direction: lower-bound arcs push from→to, upper-bound arcs
     // reverse flow to→from.
     let at_lower = arcs[entering].state == ArcState::Lower;
@@ -526,6 +700,9 @@ fn pivot(tree: &mut Tree, arcs: &mut [Arc], root: usize, entering: usize) -> f64
     // parks it there; when it blocks at zero flow it parks at the lower
     // bound. The entering arc's own bound flips state instead.
     let mut leaving_at_upper = !at_lower;
+    // A leaving arc on the tail side cuts off the subtree holding the
+    // tail; one on the head side, the subtree holding the head.
+    let mut leaving_on_tail = false;
 
     let (mut u, mut v) = (tail, head);
     while u != v {
@@ -543,6 +720,7 @@ fn pivot(tree: &mut Tree, arcs: &mut [Arc], root: usize, entering: usize) -> f64
                 delta = room;
                 leaving = arc_id;
                 leaving_at_upper = hits_upper;
+                leaving_on_tail = true;
             }
             u = tree.parent[u];
         } else {
@@ -558,6 +736,7 @@ fn pivot(tree: &mut Tree, arcs: &mut [Arc], root: usize, entering: usize) -> f64
                 delta = room;
                 leaving = arc_id;
                 leaving_at_upper = hits_upper;
+                leaving_on_tail = false;
             }
             v = tree.parent[v];
         }
@@ -603,6 +782,7 @@ fn pivot(tree: &mut Tree, arcs: &mut [Arc], root: usize, entering: usize) -> f64
             arc.flow = 0.0;
             arc.state = ArcState::Lower;
         }
+        priced[entering].sign = violation_sign(arc);
         return delta;
     }
 
@@ -617,16 +797,137 @@ fn pivot(tree: &mut Tree, arcs: &mut [Arc], root: usize, entering: usize) -> f64
             arc.flow = 0.0;
             arc.state = ArcState::Lower;
         }
+        priced[leaving].sign = violation_sign(arc);
     }
     arcs[entering].state = ArcState::Tree;
-    let (lf, lt) = (arcs[leaving].from, arcs[leaving].to);
-    tree.adjacency[lf].retain(|&a| a != leaving);
-    tree.adjacency[lt].retain(|&a| a != leaving);
-    let (ef, et) = (arcs[entering].from, arcs[entering].to);
-    tree.adjacency[ef].push(entering);
-    tree.adjacency[et].push(entering);
-    recompute_tree(tree, arcs, root);
+    priced[entering].sign = 0.0;
+    tree.unlink(leaving, &arcs[leaving]);
+    tree.link(entering, &arcs[entering]);
+    let (child, parent) = if leaving_on_tail {
+        (tail, head)
+    } else {
+        (head, tail)
+    };
+    #[cfg(test)]
+    if reference::active() {
+        let root = tree.parent.len() - 1;
+        recompute_tree(tree, arcs, root);
+        return delta;
+    }
+    rehang(tree, arcs, child, parent, entering);
+    #[cfg(test)]
+    reference::check_tree(tree, arcs);
     delta
+}
+
+/// Test-only oracles for the incremental pivot. Every block scan checks
+/// the compact pricing against the full-arc definitions below, and every
+/// pivot checks the re-hung tree against a whole-tree recompute. In
+/// reference mode ([`reference::run`]) the solve instead enters the full
+/// scan's pick and recomputes the whole tree after every pivot — the
+/// algorithm as it was before the incremental update.
+#[cfg(test)]
+mod reference {
+    use std::cell::Cell;
+
+    use super::*;
+
+    thread_local! {
+        static ACTIVE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(super) fn active() -> bool {
+        ACTIVE.with(Cell::get)
+    }
+
+    /// Runs `f` with reference mode on for this thread.
+    pub(super) fn run<T>(f: impl FnOnce() -> T) -> T {
+        struct Reset;
+        impl Drop for Reset {
+            fn drop(&mut self) {
+                ACTIVE.with(|active| active.set(false));
+            }
+        }
+        ACTIVE.with(|active| active.set(true));
+        let _reset = Reset;
+        f()
+    }
+
+    /// Reduced cost `c + π(from) − π(to)` of an arc under the tree
+    /// potentials.
+    fn reduced_cost(arc: &Arc, tree: &Tree) -> f64 {
+        arc.cost + tree.potential[arc.from] - tree.potential[arc.to]
+    }
+
+    fn price_tolerance(arc: &Arc, tree: &Tree) -> f64 {
+        let scale = arc.cost.abs() + tree.potential[arc.from].abs() + tree.potential[arc.to].abs();
+        PRICE_EPS.max(PRICE_REL_EPS * scale)
+    }
+
+    /// Pricing violation: positive iff pivoting the arc in improves the
+    /// objective (lower-bound arcs want negative reduced cost, upper-bound
+    /// arcs positive).
+    fn violation(arc: &Arc, tree: &Tree) -> f64 {
+        match arc.state {
+            ArcState::Tree => 0.0,
+            ArcState::Lower => {
+                if arc.residual() > CAP_EPS {
+                    -reduced_cost(arc, tree)
+                } else {
+                    0.0
+                }
+            }
+            ArcState::Upper => reduced_cost(arc, tree),
+        }
+    }
+
+    /// The block scan over the full arcs, asserting per arc that the
+    /// compact violation equals `violation`. Outside reference mode it
+    /// also asserts that `lean` (the [`price_block`] pick) is this scan's
+    /// pick; in reference mode this scan's pick enters.
+    pub(super) fn price_block(
+        arcs: &[Arc],
+        priced: &[PriceArc],
+        tree: &Tree,
+        cursor: usize,
+        block: usize,
+        lean: Option<usize>,
+    ) -> Option<usize> {
+        let total_arcs = arcs.len();
+        let mut best = None;
+        let mut best_violation = 0.0f64;
+        for offset in 0..block {
+            let arc_id = (cursor + offset) % total_arcs;
+            let arc = &arcs[arc_id];
+            let violation = violation(arc, tree);
+            assert_eq!(
+                priced[arc_id].violation(&tree.potential),
+                violation,
+                "compact pricing of arc {arc_id}"
+            );
+            if violation > price_tolerance(arc, tree) && violation > best_violation {
+                best_violation = violation;
+                best = Some(arc_id);
+            }
+        }
+        if !active() {
+            assert_eq!(lean, best, "lean block pick");
+        }
+        best
+    }
+
+    /// Asserts that the re-hung tree is the one a whole-tree recompute
+    /// builds, potentials bit for bit.
+    pub(super) fn check_tree(tree: &Tree, arcs: &[Arc]) {
+        let mut fresh = tree.clone();
+        let nodes = tree.parent.len();
+        assert_eq!(recompute_tree(&mut fresh, arcs, nodes - 1), nodes);
+        assert_eq!(fresh.parent, tree.parent, "parents");
+        assert_eq!(fresh.parent_arc, tree.parent_arc, "parent arcs");
+        assert_eq!(fresh.depth, tree.depth, "depths");
+        let bits = |potential: &[f64]| potential.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fresh.potential), bits(&tree.potential), "potentials");
+    }
 }
 
 #[cfg(test)]
@@ -937,6 +1238,103 @@ mod tests {
                     (Err(a), Err(b)) if a == b => Ok(()),
                     (a, b) => Err(format!("classification diverged: {a:?} vs {b:?}")),
                 }
+            },
+        );
+    }
+
+    /// A bipartite transportation instance shaped like the gate-cancellation
+    /// model: `S → L_i → R_j → T` with the diagonal excluded and small
+    /// integer costs (CNOT counts), so ties and degenerate pivots abound.
+    fn transport(marginal: &[f64], costs: &[Vec<f64>]) -> (FlowNetwork, usize, usize, f64) {
+        let side = marginal.len();
+        let (s, t) = (0, 2 * side + 1);
+        let mut net = FlowNetwork::new(2 * side + 2);
+        for (i, &p) in marginal.iter().enumerate() {
+            net.add_edge(s, 1 + i, p, 0.0);
+            net.add_edge(1 + side + i, t, p, 0.0);
+        }
+        for (i, row) in costs.iter().enumerate() {
+            for (j, &cost) in row.iter().enumerate() {
+                if i != j {
+                    net.add_edge(1 + i, 1 + side + j, 1e18, cost);
+                }
+            }
+        }
+        (net, s, t, marginal.iter().sum())
+    }
+
+    /// Bit-level equality of two solves: pivot count, per-arc flows and
+    /// the exported basis.
+    fn same_solve(
+        got: &Result<(FlowResult, SpanningBasis), FlowError>,
+        want: &Result<(FlowResult, SpanningBasis), FlowError>,
+    ) -> Result<(), String> {
+        let bits = |flows: &[f64]| flows.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        match (got, want) {
+            (Ok((a, basis_a)), Ok((b, basis_b))) => {
+                if a.profile.pivots != b.profile.pivots {
+                    return Err(format!(
+                        "pivots {} vs reference {}",
+                        a.profile.pivots, b.profile.pivots
+                    ));
+                }
+                if bits(&a.edge_flows) != bits(&b.edge_flows) || a.warm_start != b.warm_start {
+                    return Err("flows differ from the reference".into());
+                }
+                if basis_a.states != basis_b.states || bits(&basis_a.flows) != bits(&basis_b.flows)
+                {
+                    return Err("basis differs from the reference".into());
+                }
+                Ok(())
+            }
+            (Err(a), Err(b)) if a == b => Ok(()),
+            (a, b) => Err(format!(
+                "classification diverged: {:?} vs reference {:?}",
+                a.as_ref().err(),
+                b.as_ref().err()
+            )),
+        }
+    }
+
+    #[test]
+    fn incremental_pivots_match_the_recompute_reference_cold_and_warm() {
+        // The re-hang and compact pricing must walk the same pivot path as
+        // full-arc pricing with a whole-tree recompute after every pivot:
+        // the same pivot count and bit-equal flows, cold and warm from a
+        // basis solved under perturbed costs.
+        quickprop::check(
+            "incremental pivots match the recompute reference",
+            quickprop::Config::default(),
+            |g| {
+                let side = g.usize_in(2..12);
+                let marginal: Vec<f64> = g.vec_of(side..side + 1, |g| g.f64_in(0.05, 1.0));
+                let total: f64 = marginal.iter().sum();
+                let marginal: Vec<f64> = marginal.iter().map(|p| p / total).collect();
+                let costs: Vec<Vec<f64>> = (0..side)
+                    .map(|_| (0..side).map(|_| g.u64_in(0..=6) as f64).collect())
+                    .collect();
+                let perturbed: Vec<Vec<f64>> = costs
+                    .iter()
+                    .map(|row| row.iter().map(|&c| c + g.u64_in(0..=1) as f64).collect())
+                    .collect();
+                (marginal, costs, perturbed)
+            },
+            |(marginal, costs, perturbed)| {
+                let (net, s, t, amount) = transport(marginal, costs);
+                let cold = solve(&net, s, t, amount, None);
+                same_solve(&cold, &reference::run(|| solve(&net, s, t, amount, None)))?;
+                let Ok((_, basis)) = &cold else {
+                    return Ok(());
+                };
+                let (recosted, s, t, amount) = transport(marginal, perturbed);
+                let warm = solve(&recosted, s, t, amount, Some(basis));
+                if let Ok((flow, _)) = &warm {
+                    if !flow.warm_start {
+                        return Err("the perturbed-cost basis was not reused".into());
+                    }
+                }
+                let reference = reference::run(|| solve(&recosted, s, t, amount, Some(basis)));
+                same_solve(&warm, &reference)
             },
         );
     }

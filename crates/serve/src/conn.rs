@@ -48,7 +48,7 @@ const MAX_LINE_BYTES: usize = 8 * 1024 * 1024;
 const OUTBOUND_COALESCE_LINES: usize = 64;
 
 /// Hard outbound cap in lines; exceeding it is a slow-consumer disconnect.
-const OUTBOUND_MAX_LINES: usize = 8192;
+pub(crate) const OUTBOUND_MAX_LINES: usize = 8192;
 
 /// Hard outbound cap in bytes; exceeding it is a slow-consumer disconnect.
 /// Generous enough for any single result payload (a 500-string perturb
@@ -61,6 +61,13 @@ const CLOSE_GRACE: Duration = Duration::from_secs(5);
 
 /// Bytes taken from a socket per read.
 const READ_CHUNK: usize = 64 * 1024;
+
+/// Reads taken from one connection per readiness event. A flooding peer
+/// is read a few chunks at a time, so the loop gets back to its other
+/// sockets (a router's node links above all) instead of draining the
+/// flood first; the poller is level-triggered, so the unread rest is
+/// reported again on the next wait.
+const READS_PER_EVENT: usize = 4;
 
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKEUP: u64 = 1;
@@ -1068,7 +1075,10 @@ fn accept_ready<H: Handler>(handler: &mut H) {
 
 fn conn_ready<H: Handler>(handler: &mut H, slot: usize, event: &PollEvent) {
     if event.readable {
-        while handler.conns().fill(slot) {
+        for _ in 0..READS_PER_EVENT {
+            if !handler.conns().fill(slot) {
+                break;
+            }
             while let Some((conn, request)) = handler.conns().next_request(slot) {
                 handler.request(conn, request);
             }

@@ -57,6 +57,13 @@ const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 /// stay unanswered before the node counts as failed.
 const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
 
+/// Client requests a node link may have unanswered at once. Each becomes
+/// an answer the node queues for the router, so holding them below the
+/// node's outbound cap means a client pipelining through the router is
+/// disconnected here, as a slow consumer, before the node could drop the
+/// router's link (and every job on it) as one.
+const NODE_MAX_UNANSWERED: usize = conn::OUTBOUND_MAX_LINES / 2;
+
 /// A bound router front-end over a fixed fleet of node addresses.
 ///
 /// Construct with [`Router::bind`], optionally
@@ -673,18 +680,24 @@ impl RouterLoop {
 
     /// Queues one request line to a node (flushed when the loop settles);
     /// `false` if it was refused. A client's request (`from`) over the
-    /// link's caps disconnects that client as a slow consumer, not the node
-    /// and everyone's jobs on it. The router's own requests are bounded by
-    /// the node's jobs in flight and skip the caps, so none is ever lost.
+    /// link's caps or [`NODE_MAX_UNANSWERED`] disconnects that client as a
+    /// slow consumer, not the node and everyone's jobs on it. The router's
+    /// own requests are bounded by the node's jobs in flight and skip the
+    /// caps, so none is ever lost.
     fn node_send(&mut self, index: usize, request: &Request, from: Option<ConnKey>) -> bool {
-        let Some(io) = self.nodes[index].io.as_mut() else {
+        let node = &mut self.nodes[index];
+        let unanswered =
+            node.awaiting_submit.len() + node.awaiting_status.len() + node.awaiting_stats.len();
+        let Some(io) = node.io.as_mut() else {
             return true;
         };
         let mut line = request.encode();
         line.push('\n');
         match from {
             None => io.push_uncapped(line, None),
-            Some(conn) if io.push(line, None) == Push::Overflow => {
+            Some(conn)
+                if unanswered >= NODE_MAX_UNANSWERED || io.push(line, None) == Push::Overflow =>
+            {
                 self.conns.slow_consumer(conn);
                 return false;
             }
