@@ -93,22 +93,21 @@ fn main() {
         print_spectrum(label, &bench.hamiltonian, strategy);
     }
 
-    // The standalone P_rp, with its per-sample min-cost-flow solves fanned
-    // out over the engine pool (the PerturbAverageWorkload's independent
-    // per-sample seeding — deterministic for any thread count).
+    // The standalone P_rp: the component the P1' and P2' strategies mix
+    // in, with its per-sample re-pivots fanned out over the engine pool.
     let prp: PerturbAverageResult = engine
         .run_workload(&PerturbAverageWorkload::new(
             "fig15/prp",
             bench.hamiltonian.clone(),
             perturbation,
         ))
-        .expect("parallel Prp average")
+        .expect("Prp average")
         .downcast()
         .expect("perturb output");
     let prp_spectrum = spectrum(&prp.matrix);
     println!(
         "{:<34} spectra head: {:.3}  subdominant mass: {:.3}  ({} samples solved in parallel)",
-        "Prp (parallel average)",
+        "Prp (the P1'/P2' component)",
         prp_spectrum.values.first().copied().unwrap_or(f64::NAN),
         prp_spectrum.subdominant_mass(),
         prp.samples

@@ -11,9 +11,9 @@
 //!
 //! With `MARQSIM_CACHE_DIR` set the binary instead exercises the
 //! persistent cache path: the `P_gc` column times
-//! [`TransitionCache::get_or_solve_gc`] (solve + spill on the first run,
-//! disk load on reruns), every engine keeps its cache enabled so compiles
-//! reuse the persisted component, and the closing `[cache]` line reports
+//! [`TransitionCache::get_or_solve_gc_component`] (solve + spill on the
+//! first run, disk load on reruns), every engine keeps its cache enabled so
+//! compiles reuse the persisted component, and the closing `[cache]` line reports
 //! `flow_solves=0` on a rerun — the CI smoke job asserts exactly that.
 //! Timings in this mode measure the persistent-cache path, not the paper's
 //! cold-compile measurement.
@@ -21,8 +21,10 @@
 //! Run with `cargo run -p marqsim-bench --release --bin table2 [--full]`.
 //! The default skips the 1000-string instances; `--full` includes them.
 
+use std::sync::Arc;
+
 use marqsim_bench::{header, report_cache_stats, timed};
-use marqsim_core::gate_cancel::gate_cancellation_matrix;
+use marqsim_core::gate_cancel::gate_cancellation_matrix_with_basis;
 use marqsim_core::perturb::{random_perturbation_matrix, PerturbationConfig};
 use marqsim_core::qdrift::qdrift_matrix;
 use marqsim_core::{CompilerConfig, TransitionStrategy};
@@ -30,6 +32,7 @@ use marqsim_engine::{
     CacheStats, CompileRequest, CompileWorkload, Engine, EngineConfig, TransitionCache,
 };
 use marqsim_hamlib::random::{random_hamiltonian, RandomHamiltonianParams};
+use marqsim_obs::trace;
 
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
@@ -37,6 +40,11 @@ fn main() {
     let term_counts: &[usize] = if full { &[100, 500, 1000] } else { &[100, 500] };
     let time = std::f64::consts::FRAC_PI_4;
     let epsilon = 0.05;
+    let perturbation = PerturbationConfig {
+        samples: 3,
+        seed: 5,
+        ..Default::default()
+    };
 
     let env_config = EngineConfig::from_env().unwrap_or_else(|error| {
         marqsim_obs::error!("bench", "{error}");
@@ -83,27 +91,20 @@ fn main() {
                 identity_bias: 0.6,
                 seed: 1234 + terms as u64,
             });
-            // Phase 1: transition-matrix generation.
+            // Phase 1: transition-matrix generation, under a root span so its
+            // flow solves have a parent. `Prp` re-pivots the `Pgc` basis.
+            let phase1 = trace::Span::enter("table2_phase1").field("terms", terms);
             let (_, t_qd) = timed(|| qdrift_matrix(&ham));
-            let (_, t_gc) = match &component_cache {
-                Some(cache) => timed(|| {
-                    cache.get_or_solve_gc(&ham).expect("gc matrix");
-                }),
-                None => timed(|| {
-                    gate_cancellation_matrix(&ham).expect("gc matrix");
-                }),
-            };
-            let (_, t_rp) = timed(|| {
-                random_perturbation_matrix(
-                    &ham,
-                    &PerturbationConfig {
-                        samples: 3,
-                        seed: 5,
-                        ..Default::default()
-                    },
-                )
-                .expect("rp matrix")
+            let working = ham.split_if_dominant();
+            let (gc_basis, t_gc) = timed(|| match &component_cache {
+                Some(cache) => cache.get_or_solve_gc_component(&ham).map(|gc| gc.basis),
+                None => gate_cancellation_matrix_with_basis(&working).map(|(_, b)| Arc::new(b)),
             });
+            let gc_basis = gc_basis.expect("gc matrix");
+            let (_, t_rp) = timed(|| {
+                random_perturbation_matrix(&working, &perturbation, &gc_basis).expect("rp matrix")
+            });
+            drop(phase1);
 
             // Phase 2: circuit generation (sampling + sequence accounting),
             // through the engine.
@@ -126,11 +127,7 @@ fn main() {
                 TransitionStrategy::GateCancellationRandomPerturbation {
                     qdrift_weight: 0.4,
                     gc_weight: 0.3,
-                    perturbation: PerturbationConfig {
-                        samples: 3,
-                        seed: 5,
-                        ..Default::default()
-                    },
+                    perturbation,
                 },
             );
             // Warm-cache timing: first compile primes the cache, the second

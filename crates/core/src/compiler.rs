@@ -5,7 +5,7 @@ use marqsim_markov::sample::ChainSampler;
 use marqsim_markov::TransitionMatrix;
 use marqsim_pauli::{Hamiltonian, PauliString};
 
-use crate::metrics::{merge_consecutive, sequence_stats, SequenceStats};
+use crate::metrics::{merge_consecutive, merged_sequence_stats, SequenceStats};
 use crate::{CompileError, HttGraph, TransitionStrategy};
 
 /// Configuration of a [`Compiler`].
@@ -196,7 +196,7 @@ impl Compiler {
         let sampler = ChainSampler::new(htt.transition_matrix(), htt.stationary_distribution());
         let sequence = sampler.sample_trajectory_seeded(num_samples, cfg.seed);
         let merged_sequence = merge_consecutive(&sequence);
-        let stats = sequence_stats(&working, &sequence);
+        let stats = merged_sequence_stats(&working, &merged_sequence);
 
         // Step 4: synthesize the circuit (optional).
         let (circuit, circuit_stats) = if cfg.synthesize_circuit {

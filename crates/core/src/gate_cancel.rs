@@ -37,22 +37,8 @@ pub fn cnot_cost_matrix(ham: &Hamiltonian) -> Vec<Vec<f64>> {
 }
 
 /// Solves the min-cost-flow model for a Hamiltonian with an arbitrary cost
-/// matrix (used directly by the random-perturbation variant).
-///
-/// # Errors
-///
-/// Returns [`CompileError::Flow`] if the transportation problem is
-/// infeasible, or [`CompileError::Transition`] if the extracted matrix fails
-/// validation.
-pub fn matrix_from_costs(
-    ham: &Hamiltonian,
-    costs: &[Vec<f64>],
-) -> Result<(TransitionMatrix, BipartiteFlow), CompileError> {
-    matrix_from_costs_with_basis(ham, costs).map(|(matrix, flow, _)| (matrix, flow))
-}
-
-/// Like [`matrix_from_costs`], additionally returning the solver's optimal
-/// [`SpanningBasis`]. The basis can warm-start [`matrix_from_costs_warm`]
+/// matrix, also returning the solver's optimal [`SpanningBasis`]. The
+/// basis can warm-start [`matrix_from_costs_warm`]
 /// for the same Hamiltonian under a different cost matrix — the flow
 /// network's topology depends only on `π` and the excluded diagonal, both
 /// fixed by the Hamiltonian, which is exactly the `P_rp` perturbed-cost
@@ -60,7 +46,9 @@ pub fn matrix_from_costs(
 ///
 /// # Errors
 ///
-/// Same contract as [`matrix_from_costs`].
+/// Returns [`CompileError::Flow`] if the transportation problem is
+/// infeasible, or [`CompileError::Transition`] if the extracted matrix fails
+/// validation.
 pub fn matrix_from_costs_with_basis(
     ham: &Hamiltonian,
     costs: &[Vec<f64>],
@@ -79,7 +67,7 @@ pub fn matrix_from_costs_with_basis(
 ///
 /// # Errors
 ///
-/// Same contract as [`matrix_from_costs`].
+/// Same contract as [`matrix_from_costs_with_basis`].
 pub fn matrix_from_costs_warm(
     ham: &Hamiltonian,
     costs: &[Vec<f64>],
@@ -130,7 +118,7 @@ fn matrix_from_flow(
 ///
 /// # Errors
 ///
-/// See [`matrix_from_costs`].
+/// See [`matrix_from_costs_with_basis`].
 pub fn gate_cancellation_matrix(ham: &Hamiltonian) -> Result<TransitionMatrix, CompileError> {
     gate_cancellation_matrix_with_basis(ham).map(|(m, _)| m)
 }
@@ -143,7 +131,7 @@ pub fn gate_cancellation_matrix(ham: &Hamiltonian) -> Result<TransitionMatrix, C
 ///
 /// # Errors
 ///
-/// See [`matrix_from_costs`].
+/// See [`matrix_from_costs_with_basis`].
 pub fn gate_cancellation_matrix_with_basis(
     ham: &Hamiltonian,
 ) -> Result<(TransitionMatrix, SpanningBasis), CompileError> {
@@ -157,12 +145,12 @@ pub fn gate_cancellation_matrix_with_basis(
 ///
 /// # Errors
 ///
-/// See [`matrix_from_costs`].
+/// See [`matrix_from_costs_with_basis`].
 pub fn gate_cancellation_matrix_with_cost(
     ham: &Hamiltonian,
 ) -> Result<(TransitionMatrix, f64), CompileError> {
     let costs = cnot_cost_matrix(ham);
-    matrix_from_costs(ham, &costs).map(|(m, flow)| (m, flow.cost))
+    matrix_from_costs_with_basis(ham, &costs).map(|(m, flow, _)| (m, flow.cost))
 }
 
 #[cfg(test)]

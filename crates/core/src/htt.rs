@@ -47,8 +47,7 @@ impl HttGraph {
     /// Propagates any failure of the transition-matrix construction.
     pub fn build(ham: &Hamiltonian, strategy: &TransitionStrategy) -> Result<Self, CompileError> {
         let ham = ham.split_if_dominant();
-        let (transition, _warm_starts) =
-            crate::transition::build_transition_matrix_with_components(&ham, strategy, None)?;
+        let transition = crate::transition::build_transition_matrix(&ham, strategy)?;
         let stationary = ham.stationary_distribution();
         Ok(HttGraph {
             hamiltonian: ham,

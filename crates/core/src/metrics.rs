@@ -101,7 +101,12 @@ fn basis_gates_cancelled(prev: &PauliString, next: &PauliString) -> usize {
 ///
 /// Panics if an index in `sequence` is out of range for `ham`.
 pub fn sequence_stats(ham: &Hamiltonian, sequence: &[usize]) -> SequenceStats {
-    let merged = merge_consecutive(sequence);
+    merged_sequence_stats(ham, &merge_consecutive(sequence))
+}
+
+/// [`sequence_stats`] of a sequence already collapsed by
+/// [`merge_consecutive`].
+pub(crate) fn merged_sequence_stats(ham: &Hamiltonian, merged: &[(usize, usize)]) -> SequenceStats {
     if merged.is_empty() {
         return SequenceStats::default();
     }

@@ -6,7 +6,7 @@ use marqsim_markov::TransitionMatrix;
 use marqsim_pauli::Hamiltonian;
 
 use crate::gate_cancel::gate_cancellation_matrix_with_basis;
-use crate::perturb::random_perturbation_matrix_warm;
+use crate::perturb::{random_perturbation_matrix, PerturbationConfig};
 use crate::qdrift::qdrift_matrix;
 use crate::{CompileError, TransitionStrategy};
 
@@ -26,7 +26,8 @@ pub fn build_transition_matrix(
     ham: &Hamiltonian,
     strategy: &TransitionStrategy,
 ) -> Result<TransitionMatrix, CompileError> {
-    build_transition_matrix_with_components(ham, strategy, None).map(|(matrix, _)| matrix)
+    let solve_rp = |config: &_, gc_basis: &_| random_perturbation_matrix(ham, config, gc_basis);
+    build_transition_matrix_with_components(ham, strategy, None, solve_rp).map(|(matrix, _)| matrix)
 }
 
 /// Returns `true` if `strategy` needs the gate-cancellation component `P_gc`
@@ -46,82 +47,75 @@ pub fn strategy_uses_gate_cancellation(strategy: &TransitionStrategy) -> bool {
 /// exported, as produced by
 /// [`gate_cancellation_matrix_with_basis`](crate::gate_cancel::gate_cancellation_matrix_with_basis)
 /// for this exact `ham` (the engine's transition cache persists both).
-/// When absent, `P_gc` is solved here. Either way every `P_rp`
-/// perturbation sample is solved as a **warm re-pivot** from the `P_gc`
-/// basis instead of a cold solve — the perturbation changes only edge
-/// costs, so the basis always matches the samples' networks. The basis is
-/// a pure function of `ham`, so cached and uncached builds produce
-/// identical matrices. The Theorem 4.1 validation of the final matrix is
-/// performed either way.
+/// When absent, `P_gc` is solved here. `solve_rp` builds `P_rp` from the
+/// perturbation and the `P_gc` basis and counts its warm starts: the serial
+/// [`random_perturbation_matrix`], or the engine's pool-task run of the
+/// same pieces. The basis is a pure function of `ham`, so cached and
+/// uncached builds produce identical matrices. The error type is the
+/// caller's, so `solve_rp` can report its own failures.
 ///
-/// Returns the matrix and the number of flow solves that actually
-/// re-pivoted a saved basis.
+/// Returns the matrix and `solve_rp`'s warm-start count.
 ///
 /// # Errors
 ///
-/// Same contract as [`build_transition_matrix`].
-pub fn build_transition_matrix_with_components(
+/// Same contract as [`build_transition_matrix`], plus `solve_rp`'s errors.
+pub fn build_transition_matrix_with_components<E: From<CompileError>>(
     ham: &Hamiltonian,
     strategy: &TransitionStrategy,
     cached_gc: Option<(&TransitionMatrix, &SpanningBasis)>,
-) -> Result<(TransitionMatrix, u64), CompileError> {
+    solve_rp: impl FnOnce(&PerturbationConfig, &SpanningBasis) -> Result<(TransitionMatrix, u64), E>,
+) -> Result<(TransitionMatrix, u64), E> {
     if !strategy.weights_are_valid() {
         return Err(CompileError::InvalidConfig {
             reason: format!("invalid combination weights in {strategy:?}"),
-        });
+        }
+        .into());
     }
-    let mut solved: Option<(TransitionMatrix, SpanningBasis)> = None;
-    let (p_gc, gc_basis): (Option<&TransitionMatrix>, Option<&SpanningBasis>) =
-        if strategy_uses_gate_cancellation(strategy) {
-            match cached_gc {
-                Some((matrix, basis)) => (Some(matrix), Some(basis)),
-                None => {
-                    let pair = solved.insert(gate_cancellation_matrix_with_basis(ham)?);
-                    (Some(&pair.0), Some(&pair.1))
-                }
-            }
-        } else {
-            (None, None)
-        };
     let p_qd = qdrift_matrix(ham);
-    let mut warm_starts = 0u64;
-    let matrix = match strategy {
-        TransitionStrategy::QDrift => p_qd,
+    // P = qdrift·P_qd + gc·P_gc (+ rp·P_rp).
+    let (qdrift, gc, rp) = match *strategy {
+        TransitionStrategy::QDrift => return Ok((checked(ham, p_qd)?, 0)),
         TransitionStrategy::GateCancellation { qdrift_weight } => {
-            let p_gc = p_gc.expect("GC strategies carry a P_gc component");
-            combine_refs(&[&p_qd, p_gc], &[*qdrift_weight, 1.0 - *qdrift_weight])?
+            (qdrift_weight, 1.0 - qdrift_weight, None)
         }
         TransitionStrategy::GateCancellationRandomPerturbation {
             qdrift_weight,
             gc_weight,
-            perturbation,
-        } => {
-            let p_gc = p_gc.expect("GC strategies carry a P_gc component");
-            let (p_rp, warm) = random_perturbation_matrix_warm(ham, perturbation, gc_basis)?;
-            warm_starts += warm;
-            let rp_weight = 1.0 - qdrift_weight - gc_weight;
-            combine_refs(
-                &[&p_qd, p_gc, &p_rp],
-                &[*qdrift_weight, *gc_weight, rp_weight],
-            )?
-        }
+            ref perturbation,
+        } => (
+            qdrift_weight,
+            gc_weight,
+            Some((1.0 - qdrift_weight - gc_weight, perturbation)),
+        ),
         TransitionStrategy::Combined {
             qdrift_weight,
             gc_weight,
             rp_weight,
-            perturbation,
-        } => {
-            let p_gc = p_gc.expect("GC strategies carry a P_gc component");
-            let (p_rp, warm) = random_perturbation_matrix_warm(ham, perturbation, gc_basis)?;
-            warm_starts += warm;
-            combine_refs(
-                &[&p_qd, p_gc, &p_rp],
-                &[*qdrift_weight, *gc_weight, *rp_weight],
-            )?
+            ref perturbation,
+        } => (qdrift_weight, gc_weight, Some((rp_weight, perturbation))),
+    };
+    let solved;
+    let (p_gc, gc_basis) = match cached_gc {
+        Some(component) => component,
+        None => {
+            solved = gate_cancellation_matrix_with_basis(ham)?;
+            (&solved.0, &solved.1)
         }
     };
+    let (matrix, warm_starts) = match rp {
+        None => (combine_refs(&[&p_qd, p_gc], &[qdrift, gc]), 0),
+        Some((rp, perturbation)) => {
+            let (p_rp, warm_starts) = solve_rp(perturbation, gc_basis)?;
+            let mixed = combine_refs(&[&p_qd, p_gc, &p_rp], &[qdrift, gc, rp]);
+            (mixed, warm_starts)
+        }
+    };
+    let matrix = matrix.map_err(CompileError::Combine)?;
+    Ok((checked(ham, matrix)?, warm_starts))
+}
 
-    // The Theorem 4.1 exit checks.
+/// The Theorem 4.1 exit checks.
+fn checked(ham: &Hamiltonian, matrix: TransitionMatrix) -> Result<TransitionMatrix, CompileError> {
     let pi = ham.stationary_distribution();
     if !matrix.preserves_distribution(&pi, 1e-7) {
         return Err(CompileError::TheoremViolation {
@@ -133,13 +127,12 @@ pub fn build_transition_matrix_with_components(
             condition: "strong connectivity",
         });
     }
-    Ok((matrix, warm_starts))
+    Ok(matrix)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::perturb::PerturbationConfig;
     use marqsim_markov::spectra::spectrum;
 
     fn example() -> Hamiltonian {
@@ -200,9 +193,15 @@ mod tests {
             TransitionStrategy::marqsim_gc_rp(),
         ] {
             let fresh = build_transition_matrix(&ham, &strategy).unwrap();
-            let (reused, _) =
-                build_transition_matrix_with_components(&ham, &strategy, Some((&p_gc, &basis)))
-                    .unwrap();
+            let solve_rp =
+                |config: &_, gc_basis: &_| random_perturbation_matrix(&ham, config, gc_basis);
+            let (reused, _) = build_transition_matrix_with_components(
+                &ham,
+                &strategy,
+                Some((&p_gc, &basis)),
+                solve_rp,
+            )
+            .unwrap();
             assert_eq!(fresh.rows(), reused.rows(), "{strategy:?}");
         }
         assert!(!strategy_uses_gate_cancellation(

@@ -41,6 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use marqsim_core::gate_cancel::gate_cancellation_matrix_with_basis;
+use marqsim_core::perturb::{random_perturbation_matrix, PerturbationConfig};
 use marqsim_core::transition::{
     build_transition_matrix_with_components, strategy_uses_gate_cancellation,
 };
@@ -432,7 +433,9 @@ impl TransitionCache {
     }
 
     /// Returns the cached HTT graph for `(ham, strategy)`, building and
-    /// inserting it on a miss.
+    /// inserting it on a miss with the serial core construction (the
+    /// engine's batches solve the `P_rp` samples as pool tasks instead, with
+    /// identical graphs and counters).
     ///
     /// No shard lock is held while solving: concurrent misses trade a
     /// duplicated (deterministic, identical) solve for never blocking other
@@ -451,36 +454,39 @@ impl TransitionCache {
             fingerprint: hamiltonian_fingerprint(ham),
             strategy: StrategyKey::of(strategy),
         };
-        if let Some(graph) = self.graphs.get(key.fingerprint, &key, ham) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.instruments.hits.inc();
+        if let Some(graph) = self.lookup(&key, ham) {
             return Ok(graph);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.instruments.misses.inc();
-
         // Dominant-term splitting happens before fingerprinting the working
         // Hamiltonian for the component cache: P_gc is a function of the
         // split form.
         let working = ham.split_if_dominant();
-        let cached_gc = if strategy_uses_gate_cancellation(strategy) {
-            Some(self.gc_component(&working)?)
-        } else {
-            None
-        };
-        let (matrix, warm_starts) = build_transition_matrix_with_components(
+        let gc = strategy_uses_gate_cancellation(strategy)
+            .then(|| self.gc_component(&working))
+            .transpose()?;
+        let solve_rp =
+            |config: &_, gc_basis: &_| random_perturbation_matrix(&working, config, gc_basis);
+        build_graph(
+            Some(self),
+            (key, ham),
             &working,
             strategy,
-            cached_gc
-                .as_ref()
-                .map(|component| (&*component.matrix, &*component.basis)),
-        )?;
-        self.record_warm_starts(warm_starts);
-        let graph = Arc::new(HttGraph::from_matrix(&working, matrix)?);
+            gc.as_ref(),
+            solve_rp,
+        )
+    }
 
-        self.graphs
-            .insert(key.fingerprint, key, ham.clone(), Arc::clone(&graph));
-        Ok(graph)
+    /// The cached graph for `key` of the unsplit `ham`, counted as a hit
+    /// or a miss.
+    pub(crate) fn lookup(&self, key: &CacheKey, ham: &Hamiltonian) -> Option<Arc<HttGraph>> {
+        let graph = self.graphs.get(key.fingerprint, key, ham);
+        let (count, instrument) = match graph {
+            Some(_) => (&self.hits, &self.instruments.hits),
+            None => (&self.misses, &self.instruments.misses),
+        };
+        count.fetch_add(1, Ordering::Relaxed);
+        instrument.inc();
+        graph
     }
 
     /// Returns the `P_gc` component for `ham`, splitting dominant terms
@@ -519,10 +525,10 @@ impl TransitionCache {
 
     /// Records `count` warm-started flow re-pivots into the cache's stats
     /// and the process-wide registry. Warm starts performed inside
-    /// [`get_or_build`](Self::get_or_build) are recorded automatically;
-    /// workloads that warm-start their own solves (the perturbation
-    /// average) report through here so the job's `[cache]` delta shows
-    /// them.
+    /// [`get_or_build`](Self::get_or_build) and the engine's graph
+    /// resolution are recorded automatically; workloads that warm-start
+    /// their own solves report through here so the job's `[cache]` delta
+    /// shows them.
     pub fn record_warm_starts(&self, count: u64) {
         if count > 0 {
             self.warm_starts.fetch_add(count, Ordering::Relaxed);
@@ -530,20 +536,12 @@ impl TransitionCache {
         }
     }
 
-    /// Records one cold min-cost-flow solve performed *outside* the cache
-    /// (a workload solving its own model) so job-level `[cache]` deltas
-    /// account for every solve.
-    pub fn record_flow_solve(&self) {
-        self.flow_solves.fetch_add(1, Ordering::Relaxed);
-        self.instruments.flow_solves.inc();
-    }
-
     /// Returns the cached `P_gc` for the (already split) Hamiltonian:
     /// memory, then the persistence directory, then a min-cost-flow solve
     /// (spilled back to disk when persistence is on). The component carries
     /// the solve's spanning basis, which persists and reloads with the
     /// matrix.
-    fn gc_component(&self, working: &Hamiltonian) -> Result<GcComponent, CompileError> {
+    pub(crate) fn gc_component(&self, working: &Hamiltonian) -> Result<GcComponent, CompileError> {
         let fp = hamiltonian_fingerprint(working);
         if let Some(gc) = self.components.get(fp, &fp, working) {
             self.component_hits.fetch_add(1, Ordering::Relaxed);
@@ -566,7 +564,8 @@ impl TransitionCache {
                 return Ok(gc);
             }
         }
-        self.record_flow_solve();
+        self.flow_solves.fetch_add(1, Ordering::Relaxed);
+        self.instruments.flow_solves.inc();
         let (matrix, basis) = gate_cancellation_matrix_with_basis(working)?;
         let gc = GcComponent {
             matrix: Arc::new(matrix),
@@ -626,6 +625,32 @@ impl TransitionCache {
             counter.store(0, Ordering::Relaxed);
         }
     }
+}
+
+/// Builds the graph of the key of `ham` after a lookup miss, over
+/// `working` (`ham` split), from the `P_gc` component when one is given and
+/// with `P_rp` from `solve_rp`. With a cache, records the warm starts and
+/// caches the graph.
+pub(crate) fn build_graph<E: From<CompileError>>(
+    cache: Option<&TransitionCache>,
+    (key, ham): (CacheKey, &Hamiltonian),
+    working: &Hamiltonian,
+    strategy: &TransitionStrategy,
+    gc: Option<&GcComponent>,
+    solve_rp: impl FnOnce(&PerturbationConfig, &SpanningBasis) -> Result<(TransitionMatrix, u64), E>,
+) -> Result<Arc<HttGraph>, E> {
+    let gc = gc.map(|gc| (&*gc.matrix, &*gc.basis));
+    let (matrix, warm_starts) =
+        build_transition_matrix_with_components(working, strategy, gc, solve_rp)?;
+    let graph = Arc::new(HttGraph::from_matrix(working, matrix)?);
+    if let Some(cache) = cache {
+        cache.record_warm_starts(warm_starts);
+        let graph = Arc::clone(&graph);
+        cache
+            .graphs
+            .insert(key.fingerprint, key, ham.clone(), graph);
+    }
+    Ok(graph)
 }
 
 /// 64-bit FNV-1a.

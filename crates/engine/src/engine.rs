@@ -7,23 +7,30 @@
 //! jobs with its deduplicated graph resolution and flattened point-task
 //! queue.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, SendError};
 use std::sync::Arc;
 
 use marqsim_core::experiment::{point_seed, ExperimentPoint, SweepConfig, SweepResult};
+use marqsim_core::gate_cancel::{cnot_cost_matrix, gate_cancellation_matrix_with_basis};
 use marqsim_core::metrics::evaluate_fidelity_against;
+use marqsim_core::perturb::{average_samples, sample_streams, solve_sample, PerturbationConfig};
+use marqsim_core::transition::strategy_uses_gate_cancellation;
 use marqsim_core::{
-    CompileError, CompileResult, Compiler, CompilerConfig, HttGraph, TransitionStrategy,
+    CompileError, CompileResult, Compiler, CompilerConfig, HttGraph, SpanningBasis,
+    TransitionStrategy,
 };
 use marqsim_linalg::Matrix;
+use marqsim_markov::TransitionMatrix;
 use marqsim_obs::{metrics, trace};
 use marqsim_pauli::Hamiltonian;
 use marqsim_sim::exact::{self, exact_unitary};
 
-use crate::cache::{hamiltonian_fingerprint, CacheConfig, CacheKey, StrategyKey, TransitionCache};
+use crate::cache::{
+    build_graph, hamiltonian_fingerprint, CacheConfig, CacheKey, GcComponent, StrategyKey,
+    TransitionCache,
+};
 use crate::error::EngineError;
 use crate::job::{JobControl, JobHandle, JobId, JobState};
 use crate::pool::{Priority, ThreadPool};
@@ -785,7 +792,11 @@ impl WorkloadCtx<'_> {
         }
         let graphs = {
             let _span = trace::Span::enter("resolve_graph").field("jobs", jobs.len());
-            self.engine.resolve_graphs(&jobs, self.priority())
+            let requests: Vec<_> = jobs
+                .iter()
+                .map(|job| (job.label.as_str(), &job.hamiltonian, &job.strategy))
+                .collect();
+            self.engine.resolve_graphs(&requests, self.priority())
         };
         let resolved = self.engine.resolve_exacts(&jobs, graphs, self.priority());
 
@@ -897,137 +908,189 @@ impl Engine {
             .collect()
     }
 
-    /// Resolves each job's HTT graph through the cache, building each
-    /// *distinct* key exactly once.
-    ///
-    /// Same-batch duplicates are deduplicated up front (not left to racing
-    /// cache misses), and distinct keys that share a Hamiltonian fingerprint
-    /// — e.g. the GC and GC-RP strategies of one benchmark — are built
-    /// sequentially within one pool task so the second build sees the
-    /// first's cached `P_gc` component. Unrelated Hamiltonians' builds
-    /// still run concurrently across pool workers.
-    ///
-    /// With the cache disabled every job builds independently (no sharing),
-    /// which is that mode's documented contract.
-    fn resolve_graphs(
+    /// Resolves the graph of every `(label, Hamiltonian, strategy)`, each
+    /// distinct key once, in phases run on the calling (coordinator) thread:
+    /// (1) cache lookups, (2) one pool task per distinct `P_gc` the misses
+    /// need, (3) the `P_rp` samples of each missed GC-RP or Combined key as
+    /// pool tasks, (4) mix, build and insert. No pool task maps on the
+    /// pool, so one worker cannot deadlock; graphs and cache counters equal
+    /// [`TransitionCache::get_or_build`]'s. Without a cache the phases skip
+    /// the lookups, the inserts and the counters.
+    pub(crate) fn resolve_graphs(
         &self,
-        jobs: &[BatchJob],
+        requests: &[(&str, &Hamiltonian, &TransitionStrategy)],
         priority: Priority,
     ) -> Vec<Result<Arc<HttGraph>, EngineError>> {
-        if !self.cache_enabled {
-            let inputs: Vec<(Hamiltonian, TransitionStrategy)> = jobs
-                .iter()
-                .map(|job| (job.hamiltonian.clone(), job.strategy.clone()))
-                .collect();
-            return self
-                .pool
-                .map_at(
-                    priority,
-                    inputs,
-                    Arc::new(
-                        move |_idx, (ham, strategy): (Hamiltonian, TransitionStrategy)| {
-                            HttGraph::build(&ham, &strategy).map(Arc::new)
-                        },
-                    ),
-                    |_| {},
-                )
-                .into_iter()
-                .zip(jobs)
-                .map(|(result, job)| match result {
-                    Ok(built) => built.map_err(|e| EngineError::compile(&job.label, e)),
-                    Err(message) => Err(EngineError::panic(&job.label, message)),
+        // Deduplicate: the key narrows candidates, full Hamiltonian
+        // equality confirms them, as in the cache's own lookup.
+        let mut distinct: Vec<(CacheKey, &Hamiltonian, &TransitionStrategy)> = Vec::new();
+        let request_to_distinct: Vec<usize> = requests
+            .iter()
+            .map(|&(_, ham, strategy)| {
+                let key = CacheKey {
+                    fingerprint: hamiltonian_fingerprint(ham),
+                    strategy: StrategyKey::of(strategy),
+                };
+                let index = distinct.iter().position(|&(k, h, _)| k == key && h == ham);
+                index.unwrap_or_else(|| {
+                    distinct.push((key, ham, strategy));
+                    distinct.len() - 1
                 })
-                .collect();
-        }
+            })
+            .collect();
 
-        // Deduplicate: one entry per distinct (Hamiltonian, strategy). The
-        // cache key narrows candidates, but duplicates are confirmed by
-        // full Hamiltonian equality, mirroring the cache's own
-        // collision-proof lookup.
-        let mut distinct: Vec<(Hamiltonian, TransitionStrategy, CacheKey)> = Vec::new();
-        let mut job_to_distinct: Vec<usize> = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            let key = CacheKey {
-                fingerprint: hamiltonian_fingerprint(&job.hamiltonian),
-                strategy: StrategyKey::of(&job.strategy),
-            };
-            let index = distinct
-                .iter()
-                .position(|(ham, _, k)| *k == key && *ham == job.hamiltonian);
-            job_to_distinct.push(index.unwrap_or_else(|| {
-                distinct.push((job.hamiltonian.clone(), job.strategy.clone(), key));
-                distinct.len() - 1
-            }));
-        }
-
-        // Group distinct entries by fingerprint so same-Hamiltonian builds
-        // run sequentially in one task (sharing the P_gc component solve).
-        let mut groups_by_fp: HashMap<u64, Vec<usize>> = HashMap::new();
-        for (index, (_, _, key)) in distinct.iter().enumerate() {
-            groups_by_fp.entry(key.fingerprint).or_default().push(index);
-        }
-        let groups: Vec<Vec<usize>> = groups_by_fp.into_values().collect();
-        let group_members = groups.clone();
-
-        let cache = Arc::clone(&self.cache);
-        let distinct_count = distinct.len();
-        let shared_distinct = Arc::new(distinct);
-        let group_results = self.pool.map_at(
-            priority,
-            groups,
-            Arc::new(move |_idx, members: Vec<usize>| {
-                members
-                    .into_iter()
-                    .map(|index| {
-                        let (ham, strategy, _) = &shared_distinct[index];
-                        (index, cache.get_or_build(ham, strategy))
-                    })
-                    .collect::<Vec<_>>()
-            }),
-            |_| {},
-        );
-
-        enum Built {
-            Graph(Arc<HttGraph>),
-            Failed(CompileError),
-            Panicked(String),
-        }
-        let mut built: Vec<Option<Built>> = (0..distinct_count).map(|_| None).collect();
-        for (members, result) in group_members.iter().zip(group_results) {
-            match result {
-                Ok(entries) => {
-                    for (index, outcome) in entries {
-                        built[index] = Some(match outcome {
-                            Ok(graph) => Built::Graph(graph),
-                            Err(e) => Built::Failed(e),
-                        });
-                    }
+        // Phase 1: lookups; a hit needs no pool task. A miss notes the slot
+        // of the P_gc it fetches.
+        let mut gc_fetches: Vec<(Arc<Hamiltonian>, usize)> = Vec::new();
+        let entries: Vec<Result<Arc<HttGraph>, Miss>> = distinct
+            .iter()
+            .map(|&(key, ham, strategy)| {
+                let hit = self.cache_enabled.then(|| self.cache.lookup(&key, ham));
+                if let Some(graph) = hit.flatten() {
+                    return Ok(graph);
                 }
-                // The panic message is attributed only to this group's
-                // members — other groups keep their own outcomes.
-                Err(message) => {
-                    for &index in members {
-                        built[index] = Some(Built::Panicked(message.clone()));
-                    }
+                let working = Arc::new(ham.split_if_dominant());
+                let gc = strategy_uses_gate_cancellation(strategy).then(|| {
+                    let slot = gc_fetches.iter().position(|(h, _)| *h == working);
+                    let slot = slot.unwrap_or_else(|| {
+                        gc_fetches.push((Arc::clone(&working), 0));
+                        gc_fetches.len() - 1
+                    });
+                    gc_fetches[slot].1 += 1;
+                    slot
+                });
+                Err(Miss {
+                    key,
+                    ham,
+                    strategy,
+                    working,
+                    gc,
+                })
+            })
+            .collect();
+
+        // Phase 2: every miss fetches its P_gc through the cache (memory,
+        // disk, then a solve), as in a serial build. One Hamiltonian's
+        // fetches share a task, so only the first can solve. Without a
+        // cache, P_gc is solved once.
+        let cache = self.cache_enabled.then(|| Arc::clone(&self.cache));
+        let fetch_gc = move |_, (working, fetches): (Arc<Hamiltonian>, usize)| match &cache {
+            Some(cache) => {
+                let mut component = cache.gc_component(&working);
+                for _ in 1..fetches {
+                    component = cache.gc_component(&working);
                 }
+                component
             }
-        }
+            None => {
+                gate_cancellation_matrix_with_basis(&working).map(|(matrix, basis)| GcComponent {
+                    matrix: Arc::new(matrix),
+                    basis: Arc::new(basis),
+                })
+            }
+        };
+        let components: Vec<Result<GcComponent, Failure>> = self
+            .pool
+            .map_at(priority, gc_fetches, Arc::new(fetch_gc), |_| {})
+            .into_iter()
+            .map(Failure::flatten)
+            .collect();
 
-        jobs.iter()
-            .zip(&job_to_distinct)
-            .map(|(job, &index)| {
-                match built[index]
-                    .as_ref()
-                    .expect("every distinct entry was built or attributed")
-                {
-                    Built::Graph(graph) => Ok(Arc::clone(graph)),
-                    Built::Failed(e) => Err(EngineError::compile(&job.label, e.clone())),
-                    Built::Panicked(message) => {
-                        Err(EngineError::panic(&job.label, message.clone()))
-                    }
-                }
+        // Phases 3 and 4, key by key in index order.
+        let cache = self.cache_enabled.then_some(&*self.cache);
+        let build = |miss: Miss| {
+            let gc = miss.gc.map(|slot| components[slot].as_ref());
+            let gc = gc.transpose().map_err(Failure::clone)?;
+            let solve_rp = |config: &_, gc_basis: &_| {
+                self.perturbation_average(&miss.working, gc_basis, config, priority, |_| {})
+            };
+            let key = (miss.key, miss.ham);
+            build_graph(cache, key, &miss.working, miss.strategy, gc, solve_rp)
+        };
+        let built: Vec<Result<Arc<HttGraph>, Failure>> = entries
+            .into_iter()
+            .map(|entry| entry.or_else(build))
+            .collect();
+        requests
+            .iter()
+            .zip(request_to_distinct)
+            .map(|(&(label, _, _), index)| match &built[index] {
+                Ok(graph) => Ok(Arc::clone(graph)),
+                Err(failure) => Err(failure.clone().for_job(label)),
             })
             .collect()
+    }
+
+    /// The one `P_rp` construction — the pieces of the serial
+    /// [`random_perturbation_matrix`](marqsim_core::perturb::random_perturbation_matrix)
+    /// — with every sample a pool task warm from `gc_basis` and the samples
+    /// averaged in index order, so the matrix is bit-identical at any
+    /// thread count. Returns it with the number of samples that re-pivoted
+    /// the basis; `on_done` sees the number of samples solved so far.
+    pub(crate) fn perturbation_average(
+        &self,
+        working: &Arc<Hamiltonian>,
+        gc_basis: &SpanningBasis,
+        config: &PerturbationConfig,
+        priority: Priority,
+        on_done: impl FnMut(usize),
+    ) -> Result<(TransitionMatrix, u64), Failure> {
+        let streams = sample_streams(working.num_terms(), config);
+        let costs = cnot_cost_matrix(working);
+        let shared = Arc::new((Arc::clone(working), costs, gc_basis.clone(), *config));
+        let solve = move |_, stream| {
+            let (working, costs, basis, config) = &*shared;
+            solve_sample(working, costs, stream, config, basis)
+        };
+        let solved = self
+            .pool
+            .map_at(priority, streams, Arc::new(solve), on_done);
+        let samples = solved.into_iter().map(Failure::flatten);
+        let samples = samples.collect::<Result<Vec<_>, _>>()?;
+        let warm_starts = samples.iter().filter(|(_, warm)| *warm).count() as u64;
+        let p_rp = average_samples(samples.iter().map(|(matrix, _)| matrix))?;
+        Ok((p_rp, warm_starts))
+    }
+}
+
+/// A key the cache did not hold, between the phases of
+/// [`Engine::resolve_graphs`].
+struct Miss<'a> {
+    key: CacheKey,
+    ham: &'a Hamiltonian,
+    strategy: &'a TransitionStrategy,
+    /// `ham` with dominant terms split: what the graph is over.
+    working: Arc<Hamiltonian>,
+    /// The slot of its `P_gc` component, for the GC strategies.
+    gc: Option<usize>,
+}
+
+/// Why a graph or a `P_rp` was not built: its build failed, or a pool
+/// task it needed panicked.
+#[derive(Clone)]
+pub(crate) enum Failure {
+    Compile(CompileError),
+    Panic(String),
+}
+
+impl Failure {
+    /// The failure as the error of the job labelled `label`.
+    pub(crate) fn for_job(self, label: &str) -> EngineError {
+        match self {
+            Failure::Compile(e) => EngineError::compile(label, e),
+            Failure::Panic(message) => EngineError::panic(label, message),
+        }
+    }
+
+    /// A pool task's outcome, its panic message turned into a failure.
+    fn flatten<T>(outcome: Result<Result<T, CompileError>, String>) -> Result<T, Failure> {
+        outcome.map_err(Failure::Panic)?.map_err(Failure::Compile)
+    }
+}
+
+impl From<CompileError> for Failure {
+    fn from(e: CompileError) -> Self {
+        Failure::Compile(e)
     }
 }
 
@@ -1075,10 +1138,17 @@ use tests::refuse_spawn;
 mod tests {
     use std::cell::Cell;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc::channel;
     use std::sync::Arc;
+    use std::time::Duration;
+
+    use marqsim_core::perturb::PerturbationConfig;
+    use marqsim_core::TransitionStrategy;
+    use marqsim_pauli::Hamiltonian;
 
     use super::{
-        Engine, EngineConfig, EngineError, SubmitOptions, Workload, WorkloadCtx, WorkloadOutput,
+        Engine, EngineConfig, EngineError, Priority, SubmitOptions, Workload, WorkloadCtx,
+        WorkloadOutput,
     };
 
     thread_local! {
@@ -1148,5 +1218,101 @@ mod tests {
         REFUSE_SPAWN.set(false);
         engine.submit(Noop).collect().unwrap();
         assert_eq!(engine.active_jobs(), 0);
+    }
+
+    fn ham() -> Hamiltonian {
+        Hamiltonian::parse("0.9 ZZZZ + 0.8 ZZIZ + 0.7 XXII + 0.6 IYYI + 0.5 IIZZ + 0.4 XYXY")
+            .unwrap()
+    }
+
+    fn rp_strategies() -> [TransitionStrategy; 2] {
+        let perturbation = PerturbationConfig {
+            samples: 4,
+            ..Default::default()
+        };
+        [
+            TransitionStrategy::GateCancellationRandomPerturbation {
+                qdrift_weight: 0.4,
+                gc_weight: 0.3,
+                perturbation,
+            },
+            TransitionStrategy::Combined {
+                qdrift_weight: 0.2,
+                gc_weight: 0.4,
+                rp_weight: 0.4,
+                perturbation,
+            },
+        ]
+    }
+
+    /// Resolves both P_rp strategies of `ham()` through a workload's
+    /// `ctx.resolve_graph`.
+    struct ResolveRp;
+
+    impl Workload for ResolveRp {
+        fn label(&self) -> &str {
+            "resolve-rp"
+        }
+        fn total_units(&self) -> usize {
+            2
+        }
+        fn run(&self, ctx: &WorkloadCtx<'_>) -> Result<WorkloadOutput, EngineError> {
+            let graphs = rp_strategies()
+                .iter()
+                .map(|strategy| ctx.resolve_graph(&ham(), strategy))
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok(WorkloadOutput::new(graphs))
+        }
+    }
+
+    #[test]
+    fn a_one_worker_engine_resolves_gc_rp_and_combined_keys() {
+        let engine = Engine::new(EngineConfig::default().with_threads(1));
+        let (ham, strategies) = (ham(), rp_strategies());
+        let requests: Vec<_> = strategies.iter().map(|s| ("batch", &ham, s)).collect();
+        for graph in engine.resolve_graphs(&requests, Priority::Normal) {
+            graph.unwrap();
+        }
+        let stats = engine.cache().stats();
+        assert_eq!(
+            (stats.misses, stats.flow_solves, stats.warm_starts),
+            (2, 1, 8)
+        );
+        // The workload path resolves through the same phases.
+        let fresh = Engine::new(EngineConfig::default().with_threads(1).with_cache(false));
+        fresh.run_workload(&ResolveRp).unwrap();
+    }
+
+    #[test]
+    fn a_batch_of_cache_hits_submits_no_resolution_task() {
+        let engine = Arc::new(Engine::new(EngineConfig::default().with_threads(1)));
+        let resolve = |engine: &Engine| {
+            let (ham, strategies) = (ham(), rp_strategies());
+            let requests: Vec<_> = strategies.iter().map(|s| ("hits", &ham, s)).collect();
+            let graphs = engine.resolve_graphs(&requests, Priority::Normal);
+            graphs.iter().all(Result::is_ok)
+        };
+        assert!(resolve(&engine));
+
+        // Park the only worker: a resolution that submitted any pool task
+        // could not finish until the worker is released.
+        let (release, parked) = channel::<()>();
+        engine.pool().execute(Box::new(move || {
+            let _ = parked.recv();
+        }));
+        let (done, resolved) = channel();
+        let shared = Arc::clone(&engine);
+        let resolver = std::thread::spawn(move || {
+            let _ = done.send(resolve(&shared));
+        });
+        let outcome = resolved.recv_timeout(Duration::from_secs(30));
+        release.send(()).unwrap();
+        resolver.join().unwrap();
+        assert_eq!(
+            outcome,
+            Ok(true),
+            "cache hits must resolve without the pool"
+        );
+        assert_eq!(engine.cache().stats().hits, 2);
     }
 }

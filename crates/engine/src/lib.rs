@@ -143,11 +143,14 @@ pub use workload::{
 mod tests {
     use super::*;
     use marqsim_core::experiment::{run_sweep, SweepConfig};
-    use marqsim_core::perturb::{
-        perturbed_matrix_sample_warm, perturbed_matrix_sample_with_basis, PerturbationConfig,
+    use marqsim_core::gate_cancel::{
+        gate_cancellation_matrix, gate_cancellation_matrix_with_basis,
     };
-    use marqsim_core::{CompilerConfig, TransitionStrategy};
+    use marqsim_core::perturb::{random_perturbation_matrix, PerturbationConfig};
+    use marqsim_core::qdrift::qdrift_matrix;
+    use marqsim_core::{Compiler, CompilerConfig, TransitionStrategy};
     use marqsim_markov::combine::combine;
+    use marqsim_markov::TransitionMatrix;
     use marqsim_pauli::Hamiltonian;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Mutex};
@@ -620,6 +623,16 @@ mod tests {
         }
     }
 
+    /// The `P_rp` a GC-RP compile of `ham()` mixes in: the serial core
+    /// construction from the `P_gc` basis of the split Hamiltonian.
+    fn serial_p_rp(config: &PerturbationConfig) -> TransitionMatrix {
+        let working = ham().split_if_dominant();
+        let (_, gc_basis) = gate_cancellation_matrix_with_basis(&working).unwrap();
+        random_perturbation_matrix(&working, config, &gc_basis)
+            .unwrap()
+            .0
+    }
+
     #[test]
     fn perturb_average_workload_is_deterministic_across_thread_counts() {
         let config = PerturbationConfig {
@@ -627,34 +640,61 @@ mod tests {
             seed: 13,
             ..Default::default()
         };
-        // The reference: the serial chain the workload is specified to
-        // average — sample 0 solved cold, samples 1.. re-pivoted from its
-        // basis.
-        let (first, basis) = perturbed_matrix_sample_with_basis(&ham(), &config, 0).unwrap();
-        let matrices: Vec<_> = std::iter::once(first)
-            .chain((1..config.samples).map(|i| {
-                let (matrix, warm) =
-                    perturbed_matrix_sample_warm(&ham(), &config, i, &basis).unwrap();
-                assert!(warm, "sample {i} re-pivots the sample-0 basis");
-                matrix
-            }))
-            .collect();
-        let weights = vec![1.0 / config.samples as f64; config.samples];
-        let expected = combine(&matrices, &weights).unwrap();
-
-        for threads in [1, 4] {
-            let engine = Engine::new(EngineConfig::default().with_threads(threads));
-            let result: PerturbAverageResult = engine
-                .run_workload(&PerturbAverageWorkload::new("prp", ham(), config))
-                .unwrap()
-                .downcast()
-                .expect("perturb output");
-            assert_eq!(result.samples, config.samples);
-            assert_eq!(result.matrix, expected, "{threads} threads");
-            assert!(result
-                .matrix
-                .preserves_distribution(&ham().stationary_distribution(), 1e-8));
+        let expected = serial_p_rp(&config);
+        for threads in [1, 2, 4] {
+            for cache in [true, false] {
+                let engine = Engine::new(
+                    EngineConfig::default()
+                        .with_threads(threads)
+                        .with_cache(cache),
+                );
+                let result: PerturbAverageResult = engine
+                    .run_workload(&PerturbAverageWorkload::new("prp", ham(), config))
+                    .unwrap()
+                    .downcast()
+                    .expect("perturb output");
+                assert_eq!(result.samples, config.samples);
+                assert_eq!(result.matrix, expected, "{threads} threads, cache {cache}");
+            }
         }
+    }
+
+    #[test]
+    fn perturb_average_is_the_p_rp_a_gc_rp_compile_mixes_in() {
+        let perturbation = PerturbationConfig {
+            samples: 4,
+            seed: 7,
+            ..Default::default()
+        };
+        let (qdrift_weight, gc_weight) = (0.4, 0.3);
+        let engine = Engine::new(EngineConfig::default().with_threads(2));
+        let p_rp: PerturbAverageResult = engine
+            .run_workload(&PerturbAverageWorkload::new("prp", ham(), perturbation))
+            .unwrap()
+            .downcast()
+            .expect("perturb output");
+        // Mixing the verb's matrix with P_qd and P_gc by the GC-RP weights
+        // reproduces the compile's transition matrix bit for bit.
+        let strategy = TransitionStrategy::GateCancellationRandomPerturbation {
+            qdrift_weight,
+            gc_weight,
+            perturbation,
+        };
+        let compiled = engine
+            .compile(CompileRequest::new(
+                "gc-rp",
+                ham(),
+                CompilerConfig::new(0.5, 0.1).with_strategy(strategy),
+            ))
+            .unwrap();
+        let working = ham().split_if_dominant();
+        let p_gc = gate_cancellation_matrix(&working).unwrap();
+        let mixed = combine(
+            &[qdrift_matrix(&working), p_gc, p_rp.matrix],
+            &[qdrift_weight, gc_weight, 1.0 - qdrift_weight - gc_weight],
+        )
+        .unwrap();
+        assert_eq!(*compiled.result.transition, mixed);
     }
 
     #[test]
@@ -664,34 +704,122 @@ mod tests {
             seed: 13,
             ..Default::default()
         };
-        // Sample 0 solves cold and exports its basis, the other samples
-        // re-pivot — the stats window must read exactly flow_solves = 1,
-        // warm_starts = samples - 1.
-        let mut results = Vec::new();
+        // The one cold solve is P_gc's; every sample re-pivots its basis.
+        // A rerun finds P_gc in the component cache.
         for threads in [1, 4] {
             let engine = Engine::new(EngineConfig::default().with_threads(threads));
-            let before = engine.cache().stats();
-            let result: PerturbAverageResult = engine
-                .run_workload(&PerturbAverageWorkload::new("prp-warm", ham(), config))
-                .unwrap()
-                .downcast()
-                .expect("perturb output");
-            let delta = engine.cache().stats().delta_since(&before);
-            assert_eq!(delta.flow_solves, 1, "{threads} threads: one cold solve");
-            assert_eq!(
-                delta.warm_starts,
-                config.samples as u64 - 1,
-                "{threads} threads: every other sample re-pivots"
-            );
-            assert!(result
-                .matrix
-                .preserves_distribution(&ham().stationary_distribution(), 1e-8));
-            results.push(result.matrix);
+            for (run, (flow_solves, component_hits)) in [(1, 0), (0, 1)].into_iter().enumerate() {
+                let before = engine.cache().stats();
+                engine
+                    .run_workload(&PerturbAverageWorkload::new("prp-warm", ham(), config))
+                    .unwrap();
+                let delta = engine.cache().stats().delta_since(&before);
+                let context = format!("{threads} threads, run {run}");
+                assert_eq!(delta.flow_solves, flow_solves, "{context}");
+                assert_eq!(delta.component_hits, component_hits, "{context}");
+                assert_eq!(delta.warm_starts, config.samples as u64, "{context}");
+                assert_eq!((delta.hits, delta.misses), (0, 0), "{context}");
+            }
         }
-        assert_eq!(
-            results[0], results[1],
-            "warm averaging is deterministic across thread counts"
-        );
+    }
+
+    #[test]
+    fn gc_rp_and_combined_batches_match_serial_compiles_and_count_alike() {
+        let gc_rp = TransitionStrategy::GateCancellationRandomPerturbation {
+            qdrift_weight: 0.4,
+            gc_weight: 0.3,
+            perturbation: PerturbationConfig {
+                samples: 5,
+                seed: 3,
+                ..Default::default()
+            },
+        };
+        let combined = TransitionStrategy::Combined {
+            qdrift_weight: 0.2,
+            gc_weight: 0.4,
+            rp_weight: 0.4,
+            perturbation: PerturbationConfig {
+                samples: 3,
+                seed: 8,
+                ..Default::default()
+            },
+        };
+        // A duplicate key, and a dominant-term Hamiltonian that is split
+        // before its P_gc solve.
+        let dominant = Hamiltonian::parse("3.0 XXII + 0.5 ZZII + 0.5 XYZI + 0.4 YYZZ").unwrap();
+        let cases = [
+            (ham(), gc_rp.clone()),
+            (ham(), combined.clone()),
+            (ham(), gc_rp),
+            (dominant, combined),
+        ];
+        let configs: Vec<CompilerConfig> = cases
+            .iter()
+            .enumerate()
+            .map(|(i, (_, strategy))| {
+                CompilerConfig::new(0.5, 0.05)
+                    .with_strategy(strategy.clone())
+                    .with_seed(i as u64)
+            })
+            .collect();
+        let serial: Vec<_> = cases
+            .iter()
+            .zip(&configs)
+            .map(|((ham, _), config)| Compiler::new(config.clone()).compile(ham).unwrap())
+            .collect();
+        let requests = || -> Vec<CompileRequest> {
+            cases
+                .iter()
+                .zip(&configs)
+                .map(|((ham, _), config)| CompileRequest::new("rp", ham.clone(), config.clone()))
+                .collect()
+        };
+        // Three distinct keys over two Hamiltonians: two P_gc solves, the
+        // second key of `ham()` reuses its component, and every sample of
+        // every key re-pivots.
+        let cold = CacheStats {
+            misses: 3,
+            component_hits: 1,
+            flow_solves: 2,
+            warm_starts: 5 + 3 + 3,
+            ..CacheStats::default()
+        };
+        let warm = CacheStats {
+            hits: 3,
+            ..CacheStats::default()
+        };
+        for threads in [1, 2, 4] {
+            for cache in [true, false] {
+                let engine = Engine::new(
+                    EngineConfig::default()
+                        .with_threads(threads)
+                        .with_cache(cache),
+                );
+                for expected in [cold, warm] {
+                    let before = engine.cache().stats();
+                    let outcomes = engine.compile_many(requests());
+                    let after = engine.cache().stats();
+                    let delta = CacheStats {
+                        graphs: 0,
+                        components: 0,
+                        ..after.delta_since(&before)
+                    };
+                    let context = format!("{threads} threads, cache {cache}");
+                    let expected = if cache {
+                        expected
+                    } else {
+                        CacheStats::default()
+                    };
+                    assert_eq!(delta, expected, "{context}");
+                    for (outcome, reference) in outcomes.into_iter().zip(&serial) {
+                        let result = outcome.unwrap().result;
+                        assert_eq!(result.transition, reference.transition, "{context}");
+                        assert_eq!(result.sequence, reference.sequence, "{context}");
+                        assert_eq!(result.circuit_stats, reference.circuit_stats, "{context}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

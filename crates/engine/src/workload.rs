@@ -45,11 +45,9 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use marqsim_core::experiment::{SweepConfig, SweepResult};
-use marqsim_core::perturb::{
-    perturbed_matrix_sample_warm, perturbed_matrix_sample_with_basis, PerturbationConfig,
-};
+use marqsim_core::gate_cancel::gate_cancellation_matrix_with_basis;
+use marqsim_core::perturb::PerturbationConfig;
 use marqsim_core::{HttGraph, TransitionStrategy};
-use marqsim_markov::combine::combine;
 use marqsim_markov::TransitionMatrix;
 use marqsim_obs::{lockcheck, trace};
 use marqsim_pauli::Hamiltonian;
@@ -527,12 +525,10 @@ impl<'a> WorkloadCtx<'a> {
         strategy: &TransitionStrategy,
     ) -> Result<Arc<HttGraph>, EngineError> {
         let _span = trace::Span::enter("resolve_graph").field("label", self.label.as_str());
-        let built = if self.cache_enabled() {
-            self.cache().get_or_build(ham, strategy)
-        } else {
-            HttGraph::build(ham, strategy).map(Arc::new)
-        };
-        built.map_err(|e| EngineError::compile(&self.label, e))
+        let request = (self.label.as_str(), ham, strategy);
+        let mut graphs = self.engine.resolve_graphs(&[request], self.priority);
+        let missing = || Err(EngineError::workload(&self.label, "no graph was resolved"));
+        graphs.pop().unwrap_or_else(missing)
     }
 }
 
@@ -605,26 +601,20 @@ impl Workload for SweepWorkload {
     }
 }
 
-/// The parallel `P_rp` construction: `samples` independently perturbed
-/// min-cost-flow solves fanned out over the pool, averaged into one
-/// transition matrix. Output: [`PerturbAverageResult`].
+/// `P_rp` on its own: the perturbation average that a GC-RP or Combined
+/// compile of the same Hamiltonian and [`PerturbationConfig`] mixes in,
+/// with its samples solved as pool tasks. Output:
+/// [`PerturbAverageResult`].
 ///
-/// Each sample is seeded independently
-/// ([`perturbation_sample_seed`](marqsim_core::perturb::perturbation_sample_seed)),
-/// so the result is deterministic for any thread count — but it is *not*
-/// the same matrix as the serial
-/// [`random_perturbation_matrix`](marqsim_core::perturb::random_perturbation_matrix),
-/// which threads one RNG through all samples. The compiler's GC-RP
-/// strategy keeps the serial construction (warm-started from the `P_gc`
-/// basis); this workload is the parallel path for standalone `P_rp`
-/// analysis.
-///
-/// The workload solves sample `0` cold, exports its spanning basis, and
-/// warm-starts samples `1..` from it in parallel — the perturbation only
-/// changes costs, never the topology, so one basis serves every sample.
-/// On a cache-enabled engine the solves are attributed to the cache stats
-/// as `flow_solves` (cold) and `warm_starts` (re-pivots): an `N`-sample job
-/// reports `flow_solves = 1, warm_starts = N - 1`.
+/// The workload fetches the `P_gc` component of the (split) Hamiltonian —
+/// through the cache when caching is enabled, with a direct solve
+/// otherwise — and runs the engine's one `P_rp` construction from its
+/// basis: every sample re-pivots that basis, and the matrix is
+/// bit-identical to
+/// [`random_perturbation_matrix`](marqsim_core::perturb::random_perturbation_matrix)
+/// for any thread count. On a cache-enabled engine an `N`-sample job
+/// reports `warm_starts = N` plus the component fetch: `flow_solves = 1`
+/// on a cold cache, `component_hits = 1` once `P_gc` is cached.
 #[derive(Debug, Clone)]
 pub struct PerturbAverageWorkload {
     label: String,
@@ -675,39 +665,25 @@ impl Workload for PerturbAverageWorkload {
             ));
         }
         ctx.ensure_active()?;
-        let ham = Arc::new(self.hamiltonian.clone());
-        let config = self.config;
-        let label = self.label.clone();
-        // Sample 0 solves cold and exports its basis; the remaining samples
-        // warm-start from it in parallel. The basis is a pure function of
-        // (ham, config), so the averaged matrix stays deterministic for
-        // every thread count.
-        let (first, basis) = perturbed_matrix_sample_with_basis(&self.hamiltonian, &config, 0)
-            .map_err(|e| EngineError::compile(&self.label, e))?;
-        ctx.report(1, self.config.samples);
-        let basis = Arc::new(basis);
-        let rest = ctx
-            .map((1..self.config.samples).collect(), move |_idx, sample| {
-                perturbed_matrix_sample_warm(&ham, &config, sample, &basis)
-                    .map_err(|e| EngineError::compile(&label, e))
-            })
-            .into_iter()
-            .collect::<Result<Vec<(TransitionMatrix, bool)>, EngineError>>()?;
+        let working = Arc::new(self.hamiltonian.split_if_dominant());
+        let basis = if ctx.cache_enabled() {
+            ctx.cache()
+                .get_or_solve_gc_component(&self.hamiltonian)
+                .map(|gc| gc.basis)
+        } else {
+            gate_cancellation_matrix_with_basis(&working).map(|(_, basis)| Arc::new(basis))
+        }
+        .map_err(|e| EngineError::compile(&self.label, e))?;
+        ctx.ensure_active()?;
+        let report = |done| ctx.report(done, self.config.samples);
+        let (matrix, warm_starts) = ctx
+            .engine
+            .perturbation_average(&working, &basis, &self.config, ctx.priority(), report)
+            .map_err(|failure| failure.for_job(&self.label))?;
         if ctx.cache_enabled() {
-            let warm_starts = rest.iter().filter(|(_, warm)| *warm).count() as u64;
-            let cold_solves = 1 + rest.len() - warm_starts as usize;
-            for _ in 0..cold_solves {
-                ctx.cache().record_flow_solve();
-            }
             ctx.cache().record_warm_starts(warm_starts);
         }
-        let matrices: Vec<TransitionMatrix> = std::iter::once(first)
-            .chain(rest.into_iter().map(|(matrix, _)| matrix))
-            .collect();
-        let weights = vec![1.0 / matrices.len() as f64; matrices.len()];
-        let matrix = combine(&matrices, &weights).map_err(|e| {
-            EngineError::compile(&self.label, marqsim_core::CompileError::Combine(e))
-        })?;
+        ctx.ensure_active()?;
         Ok(WorkloadOutput::new(PerturbAverageResult {
             label: self.label.clone(),
             samples: self.config.samples,

@@ -14,7 +14,7 @@
 //!
 //! Reuse is only valid when the topology is unchanged; [`SpanningBasis`]
 //! therefore carries a fingerprint over the structural inputs
-//! ([`topology_fingerprint`]) and [`SpanningBasis::matches`] gates every
+//! ([`topology_fingerprint`]) and `SpanningBasis::matches` gates every
 //! warm start. A mismatch (different node count, endpoints, capacities,
 //! source/sink, or amount) silently degrades to a cold solve — never to a
 //! wrong answer.
@@ -116,16 +116,17 @@ impl SpanningBasis {
         self.num_real_arcs
     }
 
-    /// Whether this basis may warm-start a solve of the given instance:
-    /// the structural fingerprint and dimensions must be identical. Cost
-    /// changes are exactly what warm starts are for; anything else
-    /// invalidates the basis.
-    pub fn matches(&self, network: &FlowNetwork, source: usize, sink: usize, amount: f64) -> bool {
+    /// Whether this basis may warm-start a solve of `network`, whose
+    /// [`topology_fingerprint`] for the solve's endpoints and amount is
+    /// `topology` (computed once per solve): the fingerprint and dimensions
+    /// must be identical. Cost changes are exactly what warm starts are
+    /// for; anything else invalidates the basis.
+    pub(crate) fn matches(&self, network: &FlowNetwork, topology: u64) -> bool {
         self.num_nodes == network.num_nodes()
             && self.num_real_arcs == network.num_edges()
             && self.states.len() == self.num_real_arcs + self.num_nodes
             && self.flows.len() == self.states.len()
-            && self.topology == topology_fingerprint(network, source, sink, amount)
+            && self.topology == topology
     }
 
     /// Serialized per-arc states (one byte each) for the persistence layer.
@@ -196,6 +197,21 @@ mod tests {
         assert_ne!(topology_fingerprint(&recap, 0, 2, 1.0), base);
         assert_ne!(topology_fingerprint(&net(), 0, 1, 1.0), base);
         assert_ne!(topology_fingerprint(&net(), 0, 2, 2.0), base);
+    }
+
+    #[test]
+    fn solves_export_the_fingerprint_of_their_instance() {
+        let _solving = crate::solving();
+        let mut recosted = FlowNetwork::new(3);
+        recosted.add_edge(0, 1, 2.0, 9.0);
+        recosted.add_edge(1, 2, 2.0, -3.0);
+        let (_, cold) = net().min_cost_flow_with_basis(0, 2, 1.0).unwrap();
+        let (warm_flow, warm) = recosted.min_cost_flow_warm(0, 2, 1.0, &cold).unwrap();
+        let (_, trivial) = net().min_cost_flow_with_basis(0, 2, 0.0).unwrap();
+        assert!(warm_flow.warm_start);
+        assert_eq!(cold.topology(), topology_fingerprint(&net(), 0, 2, 1.0));
+        assert_eq!(warm.topology(), topology_fingerprint(&recosted, 0, 2, 1.0));
+        assert_eq!(trivial.topology(), topology_fingerprint(&net(), 0, 2, 0.0));
     }
 
     #[test]

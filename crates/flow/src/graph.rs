@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use marqsim_obs::{metrics, trace};
 
-use crate::basis::SpanningBasis;
+use crate::basis::{topology_fingerprint, SpanningBasis};
 
 /// Numerical tolerance for treating residual capacities as zero.
 pub(crate) const CAP_EPS: f64 = 1e-12;
@@ -238,16 +238,19 @@ impl FlowNetwork {
         amount: f64,
         warm: Option<&SpanningBasis>,
     ) -> Result<(FlowResult, SpanningBasis), FlowError> {
+        // One fingerprint per solve: the basis match below, the simplex's
+        // own match and the exported basis all reuse it.
+        let topology = topology_fingerprint(self, source, sink, amount);
         // The span's `warm` field reports whether a usable (matching)
         // basis was offered; `FlowResult::warm_start` is the ground truth
         // for whether it was reused.
-        let warm_requested = warm.is_some_and(|b| b.matches(self, source, sink, amount));
+        let warm_requested = warm.is_some_and(|b| b.matches(self, topology));
         let span = trace::Span::enter("flow_solve")
             .field("nodes", self.num_nodes)
             .field("edges", self.edges.len())
             .field("warm", warm_requested);
         let started = Instant::now();
-        let result = crate::simplex::solve(self, source, sink, amount, warm);
+        let result = crate::simplex::solve(self, source, sink, amount, topology, warm);
         let instruments = flow_metrics();
         instruments
             .solve_seconds

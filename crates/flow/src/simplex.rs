@@ -66,7 +66,7 @@
 
 use std::time::Instant;
 
-use crate::basis::{topology_fingerprint, BasisArcState as ArcState, SpanningBasis};
+use crate::basis::{BasisArcState as ArcState, SpanningBasis};
 use crate::graph::{FlowError, FlowNetwork, FlowResult, SolveProfile, CAP_EPS};
 
 /// Reduced-cost violation threshold for pricing: an arc enters only if its
@@ -272,10 +272,12 @@ fn far_node(arcs: &[Arc], end: usize) -> usize {
     }
 }
 
-/// The shared cold/warm solve. `warm` is a basis to restore; if it does
-/// not match the instance or fails validation the solve silently starts
-/// cold, so a stale or corrupt basis can cost time but never correctness.
-/// Returns the optimal basis alongside the flow. The trivial zero-amount
+/// The shared cold/warm solve. `topology` is the instance's
+/// [`topology_fingerprint`](crate::topology_fingerprint), computed once by
+/// the caller. `warm` is a basis
+/// to restore; if it does not match the instance or fails validation the
+/// solve silently starts cold, so a stale or corrupt basis can cost time
+/// but never correctness. Returns the optimal basis alongside the flow. The trivial zero-amount
 /// or `source == sink` solve skips the simplex and exports the all-zero
 /// artificial star: every real arc at its lower bound, every artificial
 /// arc basic. Only an identical (hence equally trivial) instance matches
@@ -285,6 +287,7 @@ pub(crate) fn solve(
     source: usize,
     sink: usize,
     amount: f64,
+    topology: u64,
     warm: Option<&SpanningBasis>,
 ) -> Result<(FlowResult, SpanningBasis), FlowError> {
     network.validate_endpoints(source, sink)?;
@@ -302,7 +305,7 @@ pub(crate) fn solve(
                 profile: SolveProfile::default(),
             },
             SpanningBasis {
-                topology: topology_fingerprint(network, source, sink, amount),
+                topology,
                 num_nodes: n,
                 num_real_arcs: num_real,
                 states,
@@ -367,9 +370,7 @@ pub(crate) fn solve(
     // only the potentials (recomputed below) change under new costs.
     let mut warm_used = false;
     if let Some(basis) = warm {
-        if basis.matches(network, source, sink, amount)
-            && restore(&mut arcs, basis, source, sink, amount)
-        {
+        if basis.matches(network, topology) && restore(&mut arcs, basis, source, sink, amount) {
             warm_used = true;
         }
     }
@@ -492,7 +493,7 @@ pub(crate) fn solve(
         cost += arc.flow * arc.cost;
     }
     let basis = SpanningBasis {
-        topology: topology_fingerprint(network, source, sink, amount),
+        topology,
         num_nodes: n,
         num_real_arcs: num_real,
         states: arcs.iter().map(|a| a.state).collect(),
@@ -933,7 +934,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ssp;
+    use crate::{ssp, topology_fingerprint};
 
     #[test]
     fn simplex_matches_ssp_on_a_grid_of_random_instances() {
@@ -1159,8 +1160,8 @@ mod tests {
         net.add_edge(1, 2, 2.0, 1.0);
         let (r, basis) = net.min_cost_flow_with_basis(0, 2, 0.0).unwrap();
         assert_eq!(r.cost, 0.0);
-        assert!(basis.matches(&net, 0, 2, 0.0));
-        assert!(!basis.matches(&net, 0, 2, 1.0));
+        assert!(basis.matches(&net, topology_fingerprint(&net, 0, 2, 0.0)));
+        assert!(!basis.matches(&net, topology_fingerprint(&net, 0, 2, 1.0)));
         let (r, _) = net.min_cost_flow_warm(0, 2, 1.0, &basis).unwrap();
         assert!(!r.warm_start, "a trivial basis never seeds a real solve");
         assert!((r.cost - 2.0).abs() < 1e-9);
@@ -1321,19 +1322,25 @@ mod tests {
             },
             |(marginal, costs, perturbed)| {
                 let (net, s, t, amount) = transport(marginal, costs);
-                let cold = solve(&net, s, t, amount, None);
-                same_solve(&cold, &reference::run(|| solve(&net, s, t, amount, None)))?;
+                let topology = topology_fingerprint(&net, s, t, amount);
+                let cold = solve(&net, s, t, amount, topology, None);
+                same_solve(
+                    &cold,
+                    &reference::run(|| solve(&net, s, t, amount, topology, None)),
+                )?;
                 let Ok((_, basis)) = &cold else {
                     return Ok(());
                 };
                 let (recosted, s, t, amount) = transport(marginal, perturbed);
-                let warm = solve(&recosted, s, t, amount, Some(basis));
+                let topology = topology_fingerprint(&recosted, s, t, amount);
+                let warm = solve(&recosted, s, t, amount, topology, Some(basis));
                 if let Ok((flow, _)) = &warm {
                     if !flow.warm_start {
                         return Err("the perturbed-cost basis was not reused".into());
                     }
                 }
-                let reference = reference::run(|| solve(&recosted, s, t, amount, Some(basis)));
+                let reference =
+                    reference::run(|| solve(&recosted, s, t, amount, topology, Some(basis)));
                 same_solve(&warm, &reference)
             },
         );

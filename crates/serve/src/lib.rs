@@ -413,10 +413,8 @@ mod tests {
 
     #[test]
     fn perturb_average_jobs_round_trip_the_matrix() {
-        use marqsim_core::perturb::{
-            perturbed_matrix_sample_warm, perturbed_matrix_sample_with_basis, PerturbationConfig,
-        };
-        use marqsim_markov::combine::combine;
+        use marqsim_core::gate_cancel::gate_cancellation_matrix_with_basis;
+        use marqsim_core::perturb::{random_perturbation_matrix, PerturbationConfig};
 
         let server = spawn_server(2);
         let mut client = Client::connect(server.addr()).unwrap();
@@ -434,18 +432,11 @@ mod tests {
             )
             .unwrap();
         let result = client.wait(job).unwrap();
-        // The serial chain the workload averages: sample 0 solved cold,
-        // samples 1.. re-pivoted from its basis.
-        let (first, basis) = perturbed_matrix_sample_with_basis(&small, &config, 0).unwrap();
-        let matrices: Vec<_> = std::iter::once(first)
-            .chain((1..config.samples).map(|i| {
-                let (matrix, warm) =
-                    perturbed_matrix_sample_warm(&small, &config, i, &basis).unwrap();
-                assert!(warm, "sample {i} re-pivots the sample-0 basis");
-                matrix
-            }))
-            .collect();
-        let expected = combine(&matrices, &[0.25; 4]).unwrap();
+        // The P_rp a GC-RP compile mixes in: the serial core construction
+        // from the P_gc basis of the split Hamiltonian.
+        let working = small.split_if_dominant();
+        let (_, gc_basis) = gate_cancellation_matrix_with_basis(&working).unwrap();
+        let (expected, _) = random_perturbation_matrix(&working, &config, &gc_basis).unwrap();
         match result.outcome {
             Outcome::PerturbAverage(back) => {
                 assert_eq!(back.samples, 4);
