@@ -7,7 +7,7 @@
 //! size:
 //!
 //! ```text
-//! [flow] backend=network_simplex strings=500 states=500 pivots=14824 solve_s=0.517 cost=5.586158
+//! [flow] backend=network_simplex strings=500 states=500 pivots=14824 solve_s=0.517 init_s=0.021 cost=5.586158
 //! ```
 //!
 //! Run with `cargo run --release -p marqsim-bench --bin flow_bench
@@ -20,7 +20,7 @@
 //! printing one line per size:
 //!
 //! ```text
-//! [flow] warm=network_simplex strings=500 samples=8 pivots=16717 repivot_s=0.828 cold_s=4.796 speedup=5.8 equal=true
+//! [flow] warm=network_simplex strings=500 samples=8 pivots=16717 repivot_s=0.828 init_s=0.160 cold_s=4.796 speedup=5.8 equal=true
 //! ```
 //!
 //! `equal` asserts the re-pivoted optimum matches the cold optimum to 1e-9
@@ -32,6 +32,12 @@
 //! over the samples. The pivot path is deterministic, so CI pins the
 //! 500-string counts — a change to the pricing or leaving-arc rule fails
 //! there instead of only moving timings.
+//!
+//! `init_s` is read from the `marqsim_flow_phase_seconds{phase="init"}`
+//! histogram's sum: the fixed per-solve cost before the first pivot
+//! (building the arcs, the topology fingerprint, the artificial start or
+//! basis restore, the spanning tree), for the cold solve or summed over
+//! the warm re-pivots.
 
 use marqsim_bench::{header, timed};
 use marqsim_core::gate_cancel::cnot_cost_matrix;
@@ -72,6 +78,14 @@ fn pivots_so_far() -> u64 {
     metrics::global().counter("marqsim_flow_pivots_total").get()
 }
 
+/// Init-phase seconds so far in this process, from the flow layer's
+/// phase histogram.
+fn init_seconds_so_far() -> f64 {
+    metrics::global()
+        .histogram_with("marqsim_flow_phase_seconds", &[("phase", "init")])
+        .sum()
+}
+
 /// The `table2` random Hamiltonian with `strings` terms, split, with its
 /// stationary distribution and CNOT cost matrix.
 fn instance(strings: usize) -> (usize, Vec<f64>, Vec<Vec<f64>>) {
@@ -94,7 +108,7 @@ fn run_warm(sizes: &[usize]) {
     header("flow_bench: warm-start re-pivots vs cold solves (network simplex)");
     for &strings in sizes {
         let (_, pi, costs) = instance(strings);
-        let seed_solve = bipartite::solve_with_basis(&pi, &costs, |i, j| i != j);
+        let seed_solve = bipartite::solve(&pi, &costs, None);
         let basis = match seed_solve {
             Ok((_, basis)) => basis,
             Err(cause) => {
@@ -105,21 +119,22 @@ fn run_warm(sizes: &[usize]) {
 
         let mut repivot_s = 0.0;
         let mut repivots = 0u64;
+        let mut init_s = 0.0;
         let mut cold_s = 0.0;
         let mut equal = true;
         for sample in 0..SAMPLES {
             let sample_costs = perturbed(&costs, strings as u64 * 1000 + sample);
-            let (cold, seconds) = timed(|| bipartite::solve(&pi, &sample_costs, |i, j| i != j));
+            let (cold, seconds) = timed(|| bipartite::solve(&pi, &sample_costs, None));
             cold_s += seconds;
-            let cold = cold.unwrap_or_else(|cause| {
+            let (cold, _) = cold.unwrap_or_else(|cause| {
                 error!("flow", "cold re-solve failed at {strings} strings: {cause}");
                 std::process::exit(1);
             });
-            let before = pivots_so_far();
-            let (warm, seconds) =
-                timed(|| bipartite::solve_warm(&pi, &sample_costs, |i, j| i != j, &basis));
+            let (before, init_before) = (pivots_so_far(), init_seconds_so_far());
+            let (warm, seconds) = timed(|| bipartite::solve(&pi, &sample_costs, Some(&basis)));
             repivot_s += seconds;
             repivots += pivots_so_far() - before;
+            init_s += init_seconds_so_far() - init_before;
             let (warm, _) = warm.unwrap_or_else(|cause| {
                 error!("flow", "warm re-solve failed at {strings} strings: {cause}");
                 std::process::exit(1);
@@ -135,7 +150,7 @@ fn run_warm(sizes: &[usize]) {
         }
         info!(
             "flow",
-            "warm={} strings={strings} samples={SAMPLES} pivots={repivots} repivot_s={repivot_s:.3} cold_s={cold_s:.3} speedup={:.1} equal={equal}",
+            "warm={} strings={strings} samples={SAMPLES} pivots={repivots} repivot_s={repivot_s:.3} init_s={init_s:.3} cold_s={cold_s:.3} speedup={:.1} equal={equal}",
             NetworkSimplex.as_str(),
             cold_s / repivot_s.max(1e-12),
         );
@@ -165,13 +180,14 @@ fn main() {
     header("flow_bench: min-cost-flow timing (gate-cancellation model)");
     for &strings in sizes {
         let (states, pi, costs) = instance(strings);
-        let before = pivots_so_far();
-        let (solution, seconds) = timed(|| bipartite::solve(&pi, &costs, |i, j| i != j));
+        let (before, init_before) = (pivots_so_far(), init_seconds_so_far());
+        let (solution, seconds) = timed(|| bipartite::solve(&pi, &costs, None));
         let pivots = pivots_so_far() - before;
+        let init_s = init_seconds_so_far() - init_before;
         match solution {
-            Ok(flow) => info!(
+            Ok((flow, _)) => info!(
                 "flow",
-                "backend={} strings={strings} states={states} pivots={pivots} solve_s={seconds:.3} cost={:.6}",
+                "backend={} strings={strings} states={states} pivots={pivots} solve_s={seconds:.3} init_s={init_s:.3} cost={:.6}",
                 NetworkSimplex.as_str(),
                 flow.cost,
             ),

@@ -12,7 +12,7 @@
 //! term carrying more than half of the total weight is split in two first
 //! (Appendix A.3), mirroring `Hamiltonian::split_dominant_terms`.
 
-use marqsim_flow::bipartite::{solve_warm, solve_with_basis, BipartiteFlow};
+use marqsim_flow::bipartite::{self, BipartiteFlow};
 use marqsim_flow::SpanningBasis;
 use marqsim_markov::TransitionMatrix;
 use marqsim_pauli::algebra::cnot_count_between;
@@ -36,78 +36,70 @@ pub fn cnot_cost_matrix(ham: &Hamiltonian) -> Vec<Vec<f64>> {
     costs
 }
 
-/// Solves the min-cost-flow model for a Hamiltonian with an arbitrary cost
-/// matrix, also returning the solver's optimal [`SpanningBasis`]. The
-/// basis can warm-start [`matrix_from_costs_warm`]
-/// for the same Hamiltonian under a different cost matrix — the flow
-/// network's topology depends only on `π` and the excluded diagonal, both
-/// fixed by the Hamiltonian, which is exactly the `P_rp` perturbed-cost
-/// shape.
-///
-/// # Errors
-///
-/// Returns [`CompileError::Flow`] if the transportation problem is
-/// infeasible, or [`CompileError::Transition`] if the extracted matrix fails
-/// validation.
-pub fn matrix_from_costs_with_basis(
-    ham: &Hamiltonian,
-    costs: &[Vec<f64>],
-) -> Result<(TransitionMatrix, BipartiteFlow, SpanningBasis), CompileError> {
-    let pi = ham.stationary_distribution();
-    let (flow, basis) = solve_with_basis(&pi, costs, |i, j| i != j)?;
-    let matrix = matrix_from_flow(ham, &pi, &flow)?;
-    Ok((matrix, flow, basis))
+/// A solved flow model: the transition matrix, the optimal flow cost (by
+/// Proposition 5.1 the expected CNOT count per transition), whether the
+/// solve re-pivoted the offered basis, and the optimal basis.
+#[derive(Debug, Clone)]
+pub struct FlowMatrix {
+    /// The transition matrix `p_ij = f_ij / π_i`.
+    pub matrix: TransitionMatrix,
+    /// The optimal flow cost.
+    pub cost: f64,
+    /// Whether the solve re-pivoted the offered basis.
+    pub warm_start: bool,
+    /// The optimal basis.
+    pub basis: SpanningBasis,
 }
 
-/// Warm-start variant of [`matrix_from_costs_with_basis`]: re-prices and
-/// re-pivots from a basis saved by an earlier solve for the *same*
-/// Hamiltonian. A mismatched basis degrades to a cold solve
-/// ([`BipartiteFlow::warm_start`] reports what happened); errors are
+/// Solves the min-cost-flow model for a Hamiltonian with an arbitrary cost
+/// matrix, warm from `warm` when given. The returned basis can warm-start
+/// a later solve for the same Hamiltonian under a different cost matrix —
+/// the flow network's topology depends only on `π` and the excluded
+/// diagonal, both fixed by the Hamiltonian, which is exactly the `P_rp`
+/// perturbed-cost shape. A mismatched basis degrades to a cold solve
+/// ([`FlowMatrix::warm_start`] reports what happened); errors are
 /// classified identically either way.
 ///
 /// # Errors
 ///
-/// Same contract as [`matrix_from_costs_with_basis`].
-pub fn matrix_from_costs_warm(
+/// Returns [`CompileError::Flow`] if the costs are invalid or the
+/// transportation problem is infeasible, or [`CompileError::Transition`] if
+/// the extracted matrix fails validation.
+pub fn matrix_from_costs(
     ham: &Hamiltonian,
     costs: &[Vec<f64>],
-    basis: &SpanningBasis,
-) -> Result<(TransitionMatrix, BipartiteFlow), CompileError> {
+    warm: Option<&SpanningBasis>,
+) -> Result<FlowMatrix, CompileError> {
     let pi = ham.stationary_distribution();
-    let (flow, _) = solve_warm(&pi, costs, |i, j| i != j, basis)?;
-    let matrix = matrix_from_flow(ham, &pi, &flow)?;
-    Ok((matrix, flow))
-}
-
-/// Converts an optimal bipartite flow into the transition matrix
-/// `p_ij = f_ij / π_i` (§5.1.2), renormalizing each row against round-off.
-fn matrix_from_flow(
-    ham: &Hamiltonian,
-    pi: &[f64],
-    flow: &BipartiteFlow,
-) -> Result<TransitionMatrix, CompileError> {
-    let n = ham.num_terms();
-    let mut rows = vec![vec![0.0; n]; n];
-    for i in 0..n {
+    let (flow, basis) = bipartite::solve(&pi, costs, warm)?;
+    let BipartiteFlow {
+        flows: mut rows,
+        cost,
+        warm_start,
+        ..
+    } = flow;
+    // p_ij = f_ij / π_i (§5.1.2), in place on the flow rows, then each row
+    // renormalized exactly against round-off.
+    for (i, row) in rows.iter_mut().enumerate() {
         let denom = pi[i];
-        for j in 0..n {
-            rows[i][j] = if denom > 0.0 {
-                flow.flows[i][j] / denom
-            } else {
-                0.0
-            };
+        for v in row.iter_mut() {
+            *v = if denom > 0.0 { *v / denom } else { 0.0 };
         }
-        // Guard against round-off: renormalize the row exactly.
-        let sum: f64 = rows[i].iter().sum();
+        let sum: f64 = row.iter().sum();
         if sum > 0.0 {
-            for v in rows[i].iter_mut() {
+            for v in row.iter_mut() {
                 *v /= sum;
             }
         } else {
-            rows[i][i] = 1.0;
+            row[i] = 1.0;
         }
     }
-    Ok(TransitionMatrix::new(rows)?)
+    Ok(FlowMatrix {
+        matrix: TransitionMatrix::new(rows)?,
+        cost,
+        warm_start,
+        basis,
+    })
 }
 
 /// Builds `P_gc` for a Hamiltonian (Algorithm 2).
@@ -118,7 +110,7 @@ fn matrix_from_flow(
 ///
 /// # Errors
 ///
-/// See [`matrix_from_costs_with_basis`].
+/// See [`matrix_from_costs`].
 pub fn gate_cancellation_matrix(ham: &Hamiltonian) -> Result<TransitionMatrix, CompileError> {
     gate_cancellation_matrix_with_basis(ham).map(|(m, _)| m)
 }
@@ -131,12 +123,12 @@ pub fn gate_cancellation_matrix(ham: &Hamiltonian) -> Result<TransitionMatrix, C
 ///
 /// # Errors
 ///
-/// See [`matrix_from_costs_with_basis`].
+/// See [`matrix_from_costs`].
 pub fn gate_cancellation_matrix_with_basis(
     ham: &Hamiltonian,
 ) -> Result<(TransitionMatrix, SpanningBasis), CompileError> {
     let costs = cnot_cost_matrix(ham);
-    matrix_from_costs_with_basis(ham, &costs).map(|(m, _, basis)| (m, basis))
+    matrix_from_costs(ham, &costs, None).map(|solved| (solved.matrix, solved.basis))
 }
 
 /// Builds `P_gc` and also returns the optimal objective value — by
@@ -145,12 +137,12 @@ pub fn gate_cancellation_matrix_with_basis(
 ///
 /// # Errors
 ///
-/// See [`matrix_from_costs_with_basis`].
+/// See [`matrix_from_costs`].
 pub fn gate_cancellation_matrix_with_cost(
     ham: &Hamiltonian,
 ) -> Result<(TransitionMatrix, f64), CompileError> {
     let costs = cnot_cost_matrix(ham);
-    matrix_from_costs_with_basis(ham, &costs).map(|(m, flow, _)| (m, flow.cost))
+    matrix_from_costs(ham, &costs, None).map(|solved| (solved.matrix, solved.cost))
 }
 
 #[cfg(test)]

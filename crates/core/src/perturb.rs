@@ -31,7 +31,7 @@ use marqsim_pauli::Hamiltonian;
 
 use marqsim_flow::SpanningBasis;
 
-use crate::gate_cancel::{cnot_cost_matrix, matrix_from_costs_warm};
+use crate::gate_cancel::{cnot_cost_matrix, matrix_from_costs};
 use crate::CompileError;
 
 /// Configuration of the random-perturbation matrix construction.
@@ -101,8 +101,8 @@ pub fn solve_sample(
             }
         }
     }
-    let (matrix, flow) = matrix_from_costs_warm(ham, &costs, gc_basis)?;
-    Ok((matrix, flow.warm_start))
+    let solved = matrix_from_costs(ham, &costs, Some(gc_basis))?;
+    Ok((solved.matrix, solved.warm_start))
 }
 
 /// Averages the sample matrices with equal weights, in index order.
@@ -150,6 +150,7 @@ mod tests {
     use super::*;
     use crate::gate_cancel::{gate_cancellation_matrix, gate_cancellation_matrix_with_basis};
     use crate::qdrift::qdrift_matrix;
+    use marqsim_flow::bipartite::BipartiteError;
     use marqsim_markov::combine::combine;
     use marqsim_markov::spectra::spectrum;
 
@@ -246,6 +247,29 @@ mod tests {
             ..Default::default()
         };
         assert!(random_perturbation_matrix(&ham, &config, &gc_basis).is_err());
+    }
+
+    #[test]
+    fn non_finite_or_overflowing_magnitudes_are_errors_not_panics() {
+        // An infinite magnitude used to panic in the flow layer; 1e308
+        // overflowed its big-M and read as an infeasible instance.
+        let ham = example();
+        let (_, gc_basis) = gate_cancellation_matrix_with_basis(&ham).unwrap();
+        for magnitude in [f64::INFINITY, f64::NAN, 1e308] {
+            let config = PerturbationConfig {
+                samples: 2,
+                magnitude,
+                probability: 1.0,
+                ..Default::default()
+            };
+            assert!(
+                matches!(
+                    random_perturbation_matrix(&ham, &config, &gc_basis),
+                    Err(CompileError::Flow(BipartiteError::InvalidCosts))
+                ),
+                "{magnitude}"
+            );
+        }
     }
 
     #[test]

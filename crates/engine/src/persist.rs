@@ -560,9 +560,7 @@ mod tests {
 
     #[test]
     fn only_the_intact_file_decodes_and_its_basis_reaches_the_cold_optimum() {
-        use marqsim_core::gate_cancel::{
-            cnot_cost_matrix, matrix_from_costs_warm, matrix_from_costs_with_basis,
-        };
+        use marqsim_core::gate_cancel::{cnot_cost_matrix, matrix_from_costs};
         use quickprop::{check, Config};
 
         // Without a re-seal, the checksum turns away every change: a
@@ -571,8 +569,8 @@ mod tests {
         let ham = ham();
         let fp = hamiltonian_fingerprint(&ham);
         let costs = cnot_cost_matrix(&ham);
-        let (matrix, cold, basis) = matrix_from_costs_with_basis(&ham, &costs).unwrap();
-        let good = encode(fp, &ham, &matrix, &basis);
+        let cold = matrix_from_costs(&ham, &costs, None).unwrap();
+        let good = encode(fp, &ham, &cold.matrix, &cold.basis);
         check(
             "persist decode accepts only the intact file",
             Config::default().with_cases(256).with_seed(0xDEC0DE),
@@ -584,8 +582,8 @@ mod tests {
                 if *bytes != good {
                     return Err("a changed file decoded".to_string());
                 }
-                let (_, warm) =
-                    matrix_from_costs_warm(&ham, &costs, &loaded).map_err(|e| e.to_string())?;
+                let warm =
+                    matrix_from_costs(&ham, &costs, Some(&loaded)).map_err(|e| e.to_string())?;
                 if (warm.cost - cold.cost).abs() > 1e-9 {
                     return Err(format!(
                         "warm start from the decoded basis reached {}, a cold solve {}",

@@ -19,8 +19,6 @@
 //! source/sink, or amount) silently degrades to a cold solve — never to a
 //! wrong answer.
 
-use crate::graph::FlowNetwork;
-
 /// Basis classification of one arc. `Tree` arcs form the spanning tree
 /// (including the artificial root arcs), non-basic arcs are parked at a
 /// bound.
@@ -54,10 +52,18 @@ impl BasisArcState {
 }
 
 /// FNV-1a over the structural (cost-independent) solve inputs: node count,
-/// per-arc endpoints and capacity bits, source, sink, and the routed
-/// amount's bits. Two solves with equal fingerprints present identical
-/// feasible regions, so a basis from one is primal-feasible for the other.
-pub fn topology_fingerprint(network: &FlowNetwork, source: usize, sink: usize, amount: f64) -> u64 {
+/// arc count, per-arc endpoints and capacity bits (`arcs` yields `(from,
+/// to, capacity)` in arc-id order), source, sink, and the routed amount's
+/// bits. Two solves with equal fingerprints present identical feasible
+/// regions, so a basis from one is primal-feasible for the other. The
+/// words and their order are part of the persisted basis format.
+pub(crate) fn topology_fingerprint(
+    num_nodes: usize,
+    arcs: impl ExactSizeIterator<Item = (usize, usize, f64)>,
+    source: usize,
+    sink: usize,
+    amount: f64,
+) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut hash = OFFSET;
@@ -67,12 +73,12 @@ pub fn topology_fingerprint(network: &FlowNetwork, source: usize, sink: usize, a
             hash = hash.wrapping_mul(PRIME);
         }
     };
-    eat(network.num_nodes() as u64);
-    eat(network.num_edges() as u64);
-    for edge in network.edges() {
-        eat(edge.from as u64);
-        eat(edge.to as u64);
-        eat(edge.capacity.to_bits());
+    eat(num_nodes as u64);
+    eat(arcs.len() as u64);
+    for (from, to, capacity) in arcs {
+        eat(from as u64);
+        eat(to as u64);
+        eat(capacity.to_bits());
     }
     eat(source as u64);
     eat(sink as u64);
@@ -116,14 +122,14 @@ impl SpanningBasis {
         self.num_real_arcs
     }
 
-    /// Whether this basis may warm-start a solve of `network`, whose
-    /// [`topology_fingerprint`] for the solve's endpoints and amount is
+    /// Whether this basis may warm-start a solve over `num_nodes` nodes and
+    /// `num_real_arcs` real arcs whose [`topology_fingerprint`] is
     /// `topology` (computed once per solve): the fingerprint and dimensions
     /// must be identical. Cost changes are exactly what warm starts are
     /// for; anything else invalidates the basis.
-    pub(crate) fn matches(&self, network: &FlowNetwork, topology: u64) -> bool {
-        self.num_nodes == network.num_nodes()
-            && self.num_real_arcs == network.num_edges()
+    pub(crate) fn matches(&self, num_nodes: usize, num_real_arcs: usize, topology: u64) -> bool {
+        self.num_nodes == num_nodes
+            && self.num_real_arcs == num_real_arcs
             && self.states.len() == self.num_real_arcs + self.num_nodes
             && self.flows.len() == self.states.len()
             && self.topology == topology
@@ -173,6 +179,7 @@ impl SpanningBasis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::FlowNetwork;
 
     fn net() -> FlowNetwork {
         let mut net = FlowNetwork::new(3);
@@ -183,20 +190,20 @@ mod tests {
 
     #[test]
     fn fingerprint_ignores_costs_but_sees_structure() {
-        let base = topology_fingerprint(&net(), 0, 2, 1.0);
+        let base = net().fingerprint(0, 2, 1.0);
 
         // Costs do not participate.
         let mut recosted = FlowNetwork::new(3);
         recosted.add_edge(0, 1, 2.0, 9.0);
         recosted.add_edge(1, 2, 2.0, -3.0);
-        assert_eq!(topology_fingerprint(&recosted, 0, 2, 1.0), base);
+        assert_eq!(recosted.fingerprint(0, 2, 1.0), base);
 
         // Capacities, endpoints, amount, and endpoints of the solve all do.
         let mut recap = net();
         recap.add_edge(0, 2, 1.0, 0.0);
-        assert_ne!(topology_fingerprint(&recap, 0, 2, 1.0), base);
-        assert_ne!(topology_fingerprint(&net(), 0, 1, 1.0), base);
-        assert_ne!(topology_fingerprint(&net(), 0, 2, 2.0), base);
+        assert_ne!(recap.fingerprint(0, 2, 1.0), base);
+        assert_ne!(net().fingerprint(0, 1, 1.0), base);
+        assert_ne!(net().fingerprint(0, 2, 2.0), base);
     }
 
     #[test]
@@ -209,9 +216,9 @@ mod tests {
         let (warm_flow, warm) = recosted.min_cost_flow_warm(0, 2, 1.0, &cold).unwrap();
         let (_, trivial) = net().min_cost_flow_with_basis(0, 2, 0.0).unwrap();
         assert!(warm_flow.warm_start);
-        assert_eq!(cold.topology(), topology_fingerprint(&net(), 0, 2, 1.0));
-        assert_eq!(warm.topology(), topology_fingerprint(&recosted, 0, 2, 1.0));
-        assert_eq!(trivial.topology(), topology_fingerprint(&net(), 0, 2, 0.0));
+        assert_eq!(cold.topology(), net().fingerprint(0, 2, 1.0));
+        assert_eq!(warm.topology(), recosted.fingerprint(0, 2, 1.0));
+        assert_eq!(trivial.topology(), net().fingerprint(0, 2, 0.0));
     }
 
     #[test]

@@ -1,24 +1,38 @@
-//! The MarQSim-shaped bipartite transportation network (§5.1).
+//! The MarQSim-shaped bipartite transportation network (§5.1) — the one
+//! instance the simplex solves in production.
 //!
 //! Given a marginal distribution `π` over `n` states and an `n × n` cost
-//! matrix, this module builds the flow network
+//! matrix, [`solve`] routes one unit of flow through
 //!
 //! ```text
 //! S → Prev_i   (capacity π_i, cost 0)
-//! Prev_i → Next_j  (capacity ∞, cost w_ij)   for allowed (i, j)
+//! Prev_i → Next_j  (capacity ∞, cost w_ij)   for i ≠ j
 //! Next_j → T   (capacity π_j, cost 0)
 //! ```
 //!
-//! routes one unit of flow, and reports the optimal flow `f_ij` between the
-//! two layers. Dividing row `i` of the flow by `π_i` yields the transition
-//! matrix (§5.1.2); that conversion lives in `marqsim-core`.
+//! and reports the optimal flow `f_ij` between the two layers. The
+//! diagonal is always excluded: a self-transition would make the identity
+//! the trivial zero-cost optimum. Dividing row `i` of the flow by `π_i`
+//! yields the transition matrix (§5.1.2); that conversion lives in
+//! `marqsim-core`, in place on the rows returned here.
+//!
+//! The instance builds the simplex's arc array directly, numbered as the
+//! persisted bases expect: `S → Prev_i` and `Next_i → T` interleaved per
+//! `i`, then the inner arcs row by row. Node `0` is `S`, `1..=n` are
+//! `Prev`, `n+1..=2n` are `Next` and `2n+1` is `T`. The unit of demand is
+//! a supply at `S` and a deficit at `T`, carried by their artificial root
+//! arcs in the starting basis, as in LEMON's network simplex.
 
-use crate::{FlowError, FlowNetwork, FlowResult, SpanningBasis};
+use std::time::Instant;
+
+use crate::simplex::{self, Arc};
+use crate::{FlowError, SpanningBasis};
 
 /// Result of solving the bipartite transportation problem.
 #[derive(Debug, Clone)]
 pub struct BipartiteFlow {
-    /// Optimal flow `f_ij` from `Prev_i` to `Next_j`.
+    /// Optimal flow `f_ij` from `Prev_i` to `Next_j` (zero on the
+    /// diagonal).
     pub flows: Vec<Vec<f64>>,
     /// Total cost `Σ f_ij · w_ij` — by Proposition 5.1 this equals the
     /// expected CNOT count per transition when the flow is turned into a
@@ -27,13 +41,15 @@ pub struct BipartiteFlow {
     /// Whether the solve re-pivoted from a caller-supplied
     /// [`SpanningBasis`] instead of building its basis from scratch.
     pub warm_start: bool,
+    /// Basis exchanges the solve made.
+    pub pivots: u64,
 }
 
 /// Errors produced by [`solve`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum BipartiteError {
-    /// The marginal distribution is empty, has negative entries, or does not
-    /// sum to one.
+    /// The marginal distribution is empty, has negative or non-finite
+    /// entries, or does not sum to one.
     InvalidMarginal {
         /// The sum of the provided marginal.
         sum: f64,
@@ -43,8 +59,11 @@ pub enum BipartiteError {
         /// Number of states implied by the marginal.
         expected: usize,
     },
-    /// The underlying min-cost-flow problem is infeasible (for example, every
-    /// inner edge of some row excluded).
+    /// A cost is not finite, or the costs are so large that the simplex's
+    /// big-M arithmetic would overflow.
+    InvalidCosts,
+    /// The underlying min-cost-flow problem is infeasible (for example, a
+    /// state carrying more than half of the mass).
     Infeasible(FlowError),
 }
 
@@ -60,6 +79,9 @@ impl std::fmt::Display for BipartiteError {
             BipartiteError::CostShapeMismatch { expected } => {
                 write!(f, "cost matrix must be {expected} x {expected}")
             }
+            BipartiteError::InvalidCosts => {
+                write!(f, "costs must be finite and small enough for big-M pricing")
+            }
             BipartiteError::Infeasible(e) => write!(f, "transportation problem infeasible: {e}"),
         }
     }
@@ -70,185 +92,153 @@ impl std::error::Error for BipartiteError {}
 /// A very large capacity standing in for the paper's `∞` on inner edges.
 const INF_CAPACITY: f64 = 1e18;
 
-/// Solves the bipartite transportation problem.
+/// Solves the bipartite transportation problem, warm from `warm` when it
+/// is given, and returns the optimal flow with the optimal
+/// [`SpanningBasis`].
 ///
-/// `allow(i, j)` controls which inner edges exist; MarQSim's gate-cancellation
-/// model excludes the diagonal (`i == j`) to rule out the trivial identity
-/// transition matrix.
-///
-/// # Errors
-///
-/// Returns a [`BipartiteError`] if the inputs are malformed or the problem is
-/// infeasible (e.g. a single state with its self-edge excluded).
-pub fn solve<F>(
-    marginal: &[f64],
-    costs: &[Vec<f64>],
-    allow: F,
-) -> Result<BipartiteFlow, BipartiteError>
-where
-    F: FnMut(usize, usize) -> bool,
-{
-    solve_with_basis(marginal, costs, allow).map(|(flow, _)| flow)
-}
-
-/// Like [`solve`], additionally returning the optimal [`SpanningBasis`].
-/// The basis can warm-start a later [`solve_warm`] over the *same*
-/// marginal and `allow` relation — the network topology, and hence the
-/// basis fingerprint, depends only on those two inputs, so solves that
-/// differ only in their cost matrix (the `P_rp` perturbation-sampling
-/// shape) reuse each other's bases.
+/// The network's topology, and hence the basis fingerprint, depends only
+/// on `marginal`, so solves that differ only in their cost matrix (the
+/// `P_rp` perturbation-sampling shape) reuse each other's bases. A basis
+/// that does not match (a different marginal) silently degrades to a cold
+/// solve — check [`BipartiteFlow::warm_start`] for what actually happened.
 ///
 /// # Errors
 ///
-/// Same contract as [`solve`].
-pub fn solve_with_basis<F>(
+/// Returns a [`BipartiteError`] if the inputs are malformed or the problem
+/// is infeasible (e.g. a single state, whose self-edge is excluded). Warm
+/// and cold solves report identical errors.
+pub fn solve(
     marginal: &[f64],
     costs: &[Vec<f64>],
-    allow: F,
-) -> Result<(BipartiteFlow, SpanningBasis), BipartiteError>
-where
-    F: FnMut(usize, usize) -> bool,
-{
-    Transport::build(marginal, costs, allow)?.solve(None)
-}
-
-/// Warm-start re-solve of the transportation problem from a basis saved
-/// by an earlier [`solve_with_basis`] / [`solve_warm`] call. A basis whose
-/// fingerprint does not match this network (different marginal or `allow`
-/// relation) silently degrades to a cold solve — check
-/// [`BipartiteFlow::warm_start`] for what actually happened.
-///
-/// # Errors
-///
-/// Same classification as [`solve`] — warm and cold solves report
-/// identical errors.
-pub fn solve_warm<F>(
-    marginal: &[f64],
-    costs: &[Vec<f64>],
-    allow: F,
-    basis: &SpanningBasis,
-) -> Result<(BipartiteFlow, SpanningBasis), BipartiteError>
-where
-    F: FnMut(usize, usize) -> bool,
-{
-    Transport::build(marginal, costs, allow)?.solve(Some(basis))
-}
-
-/// The validated flow network of one transportation instance.
-struct Transport {
-    net: FlowNetwork,
-    source: usize,
-    sink: usize,
-    /// Edge id of inner edge `(i, j)`, `usize::MAX` where `allow` excluded it.
-    inner_ids: Vec<Vec<usize>>,
-}
-
-impl Transport {
-    fn build<F>(marginal: &[f64], costs: &[Vec<f64>], mut allow: F) -> Result<Self, BipartiteError>
-    where
-        F: FnMut(usize, usize) -> bool,
-    {
-        let n = marginal.len();
-        let sum: f64 = marginal.iter().sum();
-        if n == 0 || marginal.iter().any(|&p| p < 0.0) || (sum - 1.0).abs() > 1e-9 {
-            return Err(BipartiteError::InvalidMarginal { sum });
-        }
-        if costs.len() != n || costs.iter().any(|row| row.len() != n) {
-            return Err(BipartiteError::CostShapeMismatch { expected: n });
-        }
-
-        // Node layout: 0 = S, 1..=n = Prev, n+1..=2n = Next, 2n+1 = T.
-        let source = 0usize;
-        let sink = 2 * n + 1;
-        let prev = |i: usize| 1 + i;
-        let next = |j: usize| 1 + n + j;
-
-        let mut net = FlowNetwork::new(2 * n + 2);
-        for (i, &pi) in marginal.iter().enumerate() {
-            net.add_edge(source, prev(i), pi, 0.0);
-            net.add_edge(next(i), sink, pi, 0.0);
-        }
-        let mut inner_ids = vec![vec![usize::MAX; n]; n];
-        for i in 0..n {
-            for j in 0..n {
-                if allow(i, j) {
-                    inner_ids[i][j] = net.add_edge(prev(i), next(j), INF_CAPACITY, costs[i][j]);
-                }
+    warm: Option<&SpanningBasis>,
+) -> Result<(BipartiteFlow, SpanningBasis), BipartiteError> {
+    let started = Instant::now();
+    validate(marginal, costs)?;
+    let n = marginal.len();
+    let (source, sink) = (0, 2 * n + 1);
+    let nodes = 2 * n + 2;
+    let mut arcs = Vec::with_capacity(2 * n + n * (n - 1) + nodes);
+    for (i, &pi) in marginal.iter().enumerate() {
+        arcs.push(Arc::real(source, 1 + i, pi, 0.0));
+        arcs.push(Arc::real(1 + n + i, sink, pi, 0.0));
+    }
+    for (i, row) in costs.iter().enumerate() {
+        for (j, &cost) in row.iter().enumerate() {
+            if i != j {
+                arcs.push(Arc::real(1 + i, 1 + n + j, INF_CAPACITY, cost));
             }
         }
-        Ok(Transport {
-            net,
-            source,
-            sink,
-            inner_ids,
-        })
     }
-
-    /// Routes the unit of flow, warm from `basis` when one is given.
-    fn solve(
-        &self,
-        basis: Option<&SpanningBasis>,
-    ) -> Result<(BipartiteFlow, SpanningBasis), BipartiteError> {
-        let (result, basis) = match basis {
-            Some(basis) => self
-                .net
-                .min_cost_flow_warm(self.source, self.sink, 1.0, basis),
-            None => self
-                .net
-                .min_cost_flow_with_basis(self.source, self.sink, 1.0),
-        }
+    let solved = simplex::solve(nodes, arcs, source, sink, 1.0, warm, started)
         .map_err(BipartiteError::Infeasible)?;
-        Ok((self.flow(&result), basis))
-    }
+    let mut inner = solved.arcs[2 * n..].iter();
+    let flows = (0..n)
+        .map(|i| {
+            let mut row = vec![0.0; n];
+            for (j, arc) in (0..n).filter(|&j| j != i).zip(&mut inner) {
+                row[j] = arc.flow.max(0.0);
+            }
+            row
+        })
+        .collect();
+    let flow = BipartiteFlow {
+        flows,
+        cost: solved.cost,
+        warm_start: solved.warm_start,
+        pivots: solved.profile.pivots,
+    };
+    Ok((flow, solved.basis))
+}
 
-    /// Reads the inner-edge flows `f_ij` out of a solve of this network.
-    fn flow(&self, result: &FlowResult) -> BipartiteFlow {
-        let flows = self
-            .inner_ids
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .map(|&id| match id {
-                        usize::MAX => 0.0,
-                        id => result.edge_flows[id].max(0.0),
-                    })
-                    .collect()
-            })
-            .collect();
-        BipartiteFlow {
-            flows,
-            cost: result.cost,
-            warm_start: result.warm_start,
-        }
+/// Checks that `marginal` is a probability vector and `costs` a finite
+/// `n × n` matrix whose magnitudes keep the simplex's big-M finite.
+fn validate(marginal: &[f64], costs: &[Vec<f64>]) -> Result<(), BipartiteError> {
+    let n = marginal.len();
+    let sum: f64 = marginal.iter().sum();
+    if n == 0 || marginal.iter().any(|&p| !p.is_finite() || p < 0.0) || (sum - 1.0).abs() > 1e-9 {
+        return Err(BipartiteError::InvalidMarginal { sum });
+    }
+    if costs.len() != n || costs.iter().any(|row| row.len() != n) {
+        return Err(BipartiteError::CostShapeMismatch { expected: n });
+    }
+    let max_abs_cost = costs
+        .iter()
+        .flatten()
+        .try_fold(0.0f64, |max, &c| c.is_finite().then(|| max.max(c.abs())));
+    match max_abs_cost {
+        Some(max) if simplex::costs_fit(2 * n + 2, max) => Ok(()),
+        _ => Err(BipartiteError::InvalidCosts),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::{FlowNetwork, FlowResult};
 
-    type Solver =
-        fn(&[f64], &[Vec<f64>], fn(usize, usize) -> bool) -> Result<BipartiteFlow, BipartiteError>;
+    type Solver = fn(&[f64], &[Vec<f64>]) -> Result<BipartiteFlow, BipartiteError>;
 
-    /// The transportation problem solved by the successive-shortest-path
-    /// oracle instead of the simplex.
-    fn solve_by_oracle(
+    /// The production solve, cold.
+    fn cold(marginal: &[f64], costs: &[Vec<f64>]) -> Result<BipartiteFlow, BipartiteError> {
+        solve(marginal, costs, None).map(|(flow, _)| flow)
+    }
+
+    /// The transportation instance as an edge-list network, with inner
+    /// edge `(i, j)` where `allow(i, j)`, in the production arc order.
+    /// Returns the network and the edge id of every inner edge.
+    fn network(
         marginal: &[f64],
         costs: &[Vec<f64>],
         allow: fn(usize, usize) -> bool,
+    ) -> (FlowNetwork, Vec<Vec<Option<usize>>>) {
+        let n = marginal.len();
+        let mut net = FlowNetwork::new(2 * n + 2);
+        for (i, &pi) in marginal.iter().enumerate() {
+            net.add_edge(0, 1 + i, pi, 0.0);
+            net.add_edge(1 + n + i, 2 * n + 1, pi, 0.0);
+        }
+        let ids = (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|j| allow(i, j).then(|| net.add_edge(1 + i, 1 + n + j, 1e18, costs[i][j])))
+                    .collect()
+            })
+            .collect();
+        (net, ids)
+    }
+
+    /// The inner-edge flows `f_ij` of a solve of [`network`].
+    fn flows_of(ids: &[Vec<Option<usize>>], result: &FlowResult) -> Vec<Vec<f64>> {
+        ids.iter()
+            .map(|row| {
+                row.iter()
+                    .map(|id| id.map_or(0.0, |id| result.edge_flows[id].max(0.0)))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The transportation problem solved by the successive-shortest-path
+    /// oracle over the edge-list network instead of the simplex.
+    fn solve_by_oracle(
+        marginal: &[f64],
+        costs: &[Vec<f64>],
     ) -> Result<BipartiteFlow, BipartiteError> {
-        let transport = Transport::build(marginal, costs, allow)?;
-        let result = crate::ssp::solve(&transport.net, transport.source, transport.sink, 1.0)
+        validate(marginal, costs)?;
+        let (net, ids) = network(marginal, costs, off_diagonal);
+        let result = crate::ssp::solve(&net, 0, net.num_nodes() - 1, 1.0)
             .map_err(BipartiteError::Infeasible)?;
-        Ok(transport.flow(&result))
+        Ok(BipartiteFlow {
+            flows: flows_of(&ids, &result),
+            cost: result.cost,
+            warm_start: false,
+            pivots: result.profile.pivots,
+        })
     }
 
     /// The production solve and the oracle.
     fn backends() -> [(&'static str, Solver); 2] {
-        [
-            ("network_simplex", |m, c, a| solve(m, c, a)),
-            ("ssp oracle", solve_by_oracle),
-        ]
+        [("network_simplex", cold), ("ssp oracle", solve_by_oracle)]
     }
 
     fn off_diagonal(i: usize, j: usize) -> bool {
@@ -275,7 +265,7 @@ mod tests {
     fn marginals_are_matched_on_both_sides() {
         let _solving = crate::solving();
         let (pi, costs) = example_5_1();
-        let sol = solve(&pi, &costs, |i, j| i != j).unwrap();
+        let sol = cold(&pi, &costs).unwrap();
         for i in 0..4 {
             let row_sum: f64 = sol.flows[i].iter().sum();
             let col_sum: f64 = (0..4).map(|k| sol.flows[k][i]).sum();
@@ -296,7 +286,7 @@ mod tests {
     fn diagonal_exclusion_is_respected() {
         let _solving = crate::solving();
         let (pi, costs) = example_5_1();
-        let sol = solve(&pi, &costs, |i, j| i != j).unwrap();
+        let sol = cold(&pi, &costs).unwrap();
         for i in 0..4 {
             assert!(sol.flows[i][i].abs() < 1e-12);
         }
@@ -308,7 +298,7 @@ mod tests {
         // Equation (13): the dominant term exchanges flow with the three
         // small terms; small terms route all their mass to the dominant term.
         let (pi, costs) = example_5_1();
-        let sol = solve(&pi, &costs, |i, j| i != j).unwrap();
+        let sol = cold(&pi, &costs).unwrap();
         for j in 1..4 {
             assert!(
                 (sol.flows[j][0] - pi[j]).abs() < 1e-9,
@@ -324,27 +314,40 @@ mod tests {
 
     #[test]
     fn allowing_the_diagonal_yields_the_trivial_zero_cost_solution() {
+        // Why the production instance excludes the diagonal: with the
+        // self-edges in (built here as an edge-list network), the identity
+        // transition is a zero-cost optimum.
         let _solving = crate::solving();
         let (pi, costs) = example_5_1();
-        let sol = solve(&pi, &costs, |_, _| true).unwrap();
-        assert!(sol.cost.abs() < 1e-9);
+        let (net, ids) = network(&pi, &costs, |_, _| true);
+        let result = net.min_cost_flow(0, net.num_nodes() - 1, 1.0).unwrap();
+        let flows = flows_of(&ids, &result);
+        assert!(result.cost.abs() < 1e-9);
         for i in 0..4 {
-            assert!((sol.flows[i][i] - pi[i]).abs() < 1e-9);
+            assert!((flows[i][i] - pi[i]).abs() < 1e-9);
         }
     }
 
     #[test]
     fn invalid_marginal_rejected() {
         let _solving = crate::solving();
-        let costs = vec![vec![0.0; 2]; 2];
-        assert!(matches!(
-            solve(&[0.5, 0.6], &costs, |_, _| true).unwrap_err(),
-            BipartiteError::InvalidMarginal { .. }
-        ));
-        assert!(matches!(
-            solve(&[], &[], |_, _| true).unwrap_err(),
-            BipartiteError::InvalidMarginal { .. }
-        ));
+        for marginal in [
+            &[0.5, 0.6][..],
+            &[],
+            &[0.5, -0.5, 1.0],
+            &[f64::NAN, 1.0],
+            &[0.5, f64::NAN],
+            &[f64::INFINITY, 0.0],
+        ] {
+            let costs = vec![vec![0.0; marginal.len()]; marginal.len()];
+            assert!(
+                matches!(
+                    solve(marginal, &costs, None).unwrap_err(),
+                    BipartiteError::InvalidMarginal { .. }
+                ),
+                "{marginal:?}"
+            );
+        }
     }
 
     #[test]
@@ -352,9 +355,50 @@ mod tests {
         let _solving = crate::solving();
         let costs = vec![vec![0.0; 3]; 2];
         assert!(matches!(
-            solve(&[0.5, 0.5], &costs, |_, _| true).unwrap_err(),
+            cold(&[0.5, 0.5], &costs).unwrap_err(),
             BipartiteError::CostShapeMismatch { .. }
         ));
+    }
+
+    #[test]
+    fn non_finite_costs_are_rejected() {
+        let _solving = crate::solving();
+        let (pi, costs) = example_5_1();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for (i, j) in [(0, 1), (3, 2), (2, 2)] {
+                let mut costs = costs.clone();
+                costs[i][j] = bad;
+                assert_eq!(
+                    cold(&pi, &costs).unwrap_err(),
+                    BipartiteError::InvalidCosts,
+                    "{bad} at ({i}, {j})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn costs_that_overflow_big_m_are_rejected() {
+        // Costs of 1e308 are finite, but the big-M above them is not: the
+        // solve used to misreport them as `Infeasible { routed: 0 }`.
+        let _solving = crate::solving();
+        let (pi, costs) = example_5_1();
+        for huge in [1e307, -1e308, f64::MAX] {
+            let mut costs = costs.clone();
+            costs[1][0] = huge;
+            assert_eq!(
+                cold(&pi, &costs).unwrap_err(),
+                BipartiteError::InvalidCosts,
+                "{huge}"
+            );
+        }
+        // Large costs whose big-M and pivots stay finite still solve.
+        let scaled: Vec<Vec<f64>> = costs
+            .iter()
+            .map(|row| row.iter().map(|&c| c * 1e290).collect())
+            .collect();
+        let sol = cold(&pi, &scaled).unwrap();
+        assert!((sol.cost / 1e290 - 2.0).abs() < 1e-9, "{}", sol.cost);
     }
 
     #[test]
@@ -362,9 +406,24 @@ mod tests {
         let _solving = crate::solving();
         let costs = vec![vec![0.0]];
         assert!(matches!(
-            solve(&[1.0], &costs, |i, j| i != j).unwrap_err(),
+            cold(&[1.0], &costs).unwrap_err(),
             BipartiteError::Infeasible(_)
         ));
+    }
+
+    #[test]
+    fn example_5_1_topology_fingerprint_is_pinned() {
+        // Persisted bases (format v5) carry this fingerprint, so the words
+        // it hashes and their order must not change: node count, arc
+        // count, per-arc endpoints and capacity bits in arc order, source,
+        // sink and amount.
+        let _solving = crate::solving();
+        let (pi, costs) = example_5_1();
+        let (_, basis) = solve(&pi, &costs, None).unwrap();
+        assert_eq!(basis.topology(), 0xcf4a_fe10_fedd_8313);
+        assert_eq!((basis.num_nodes(), basis.num_real_arcs()), (10, 20));
+        let (net, _) = network(&pi, &costs, off_diagonal);
+        assert_eq!(net.fingerprint(0, 9, 1.0), basis.topology());
     }
 
     #[test]
@@ -376,7 +435,7 @@ mod tests {
             let costs = vec![vec![0.0; 2]; 2];
             assert!(
                 matches!(
-                    solve(&[0.5, 0.6], &costs, |_, _| true).unwrap_err(),
+                    solve(&[0.5, 0.6], &costs).unwrap_err(),
                     BipartiteError::InvalidMarginal { .. }
                 ),
                 "{kind}"
@@ -384,7 +443,7 @@ mod tests {
             let ragged = vec![vec![0.0; 3]; 2];
             assert!(
                 matches!(
-                    solve(&[0.5, 0.5], &ragged, |_, _| true).unwrap_err(),
+                    solve(&[0.5, 0.5], &ragged).unwrap_err(),
                     BipartiteError::CostShapeMismatch { .. }
                 ),
                 "{kind}"
@@ -392,7 +451,7 @@ mod tests {
             let single = vec![vec![0.0]];
             assert!(
                 matches!(
-                    solve(&[1.0], &single, off_diagonal).unwrap_err(),
+                    solve(&[1.0], &single).unwrap_err(),
                     BipartiteError::Infeasible(_)
                 ),
                 "{kind}"
@@ -404,8 +463,8 @@ mod tests {
     fn both_backends_find_the_paper_example_optimum() {
         let _solving = crate::solving();
         let (pi, costs) = example_5_1();
-        let oracle = solve_by_oracle(&pi, &costs, off_diagonal).unwrap();
-        let simplex = solve(&pi, &costs, off_diagonal).unwrap();
+        let oracle = solve_by_oracle(&pi, &costs).unwrap();
+        let simplex = cold(&pi, &costs).unwrap();
         assert!(
             (oracle.cost - simplex.cost).abs() < 1e-9,
             "ssp {} vs simplex {}",
@@ -471,7 +530,7 @@ mod tests {
             |(pi, costs)| {
                 let mut optima = Vec::new();
                 for (kind, solve) in backends() {
-                    let sol = solve(pi, costs, off_diagonal).map_err(|e| format!("{kind}: {e}"))?;
+                    let sol = solve(pi, costs).map_err(|e| format!("{kind}: {e}"))?;
                     check_marginals(kind, &sol, pi)?;
                     optima.push((kind, sol.cost));
                 }
@@ -493,7 +552,7 @@ mod tests {
         let n = 6;
         let pi = vec![1.0 / n as f64; n];
         let costs = vec![vec![1.0; n]; n];
-        let sol = solve(&pi, &costs, |i, j| i != j).unwrap();
+        let sol = cold(&pi, &costs).unwrap();
         assert!((sol.cost - 1.0).abs() < 1e-9);
         let total: f64 = sol.flows.iter().flatten().sum();
         assert!((total - 1.0).abs() < 1e-9);
@@ -509,29 +568,12 @@ mod tests {
         quickprop::check(
             "bipartite warm == cold",
             quickprop::Config::default().with_cases(30),
-            |g| {
-                // n ≥ 3 with raw weights in [0.5, 1.0] keeps every π_i below
-                // half the total mass, so the diagonal-excluded problem is
-                // always feasible (Hall's condition).
-                let n = g.usize_in(3..8);
-                let raw: Vec<f64> = (0..n).map(|_| g.f64_in(0.5, 1.0)).collect();
-                let total: f64 = raw.iter().sum();
-                let pi: Vec<f64> = raw.iter().map(|x| x / total).collect();
-                let mut costs = || -> Vec<Vec<f64>> {
-                    (0..n)
-                        .map(|_| (0..n).map(|_| g.f64_in(0.0, 20.0).round()).collect())
-                        .collect()
-                };
-                let costs_a = costs();
-                let costs_b = costs();
-                (pi, costs_a, costs_b)
-            },
+            recosted_instance,
             |(pi, costs_a, costs_b)| {
-                let (_, basis) = solve_with_basis(pi, costs_a, off_diagonal)
-                    .map_err(|e| format!("seed solve failed: {e}"))?;
-                let cold = solve(pi, costs_b, off_diagonal)
-                    .map_err(|e| format!("cold solve failed: {e}"))?;
-                let (warm, _) = solve_warm(pi, costs_b, off_diagonal, &basis)
+                let (_, basis) =
+                    solve(pi, costs_a, None).map_err(|e| format!("seed solve failed: {e}"))?;
+                let cold = cold(pi, costs_b).map_err(|e| format!("cold solve failed: {e}"))?;
+                let (warm, _) = solve(pi, costs_b, Some(&basis))
                     .map_err(|e| format!("warm solve failed: {e}"))?;
                 if !warm.warm_start {
                     return Err("matching basis was not reused for the warm solve".into());
@@ -544,6 +586,90 @@ mod tests {
                     ));
                 }
                 check_marginals("warm", &warm, pi)
+            },
+        );
+    }
+
+    /// A feasible instance under two cost matrices: `n ≥ 3` raw weights
+    /// in [0.5, 1.0] keep every π_i below half the total mass (Hall's
+    /// condition for the diagonal-excluded problem), and costs are
+    /// integers in `0..=20`.
+    fn recosted_instance(g: &mut quickprop::Gen) -> (Vec<f64>, Vec<Vec<f64>>, Vec<Vec<f64>>) {
+        let n = g.usize_in(3..8);
+        let raw: Vec<f64> = (0..n).map(|_| g.f64_in(0.5, 1.0)).collect();
+        let total: f64 = raw.iter().sum();
+        let pi: Vec<f64> = raw.iter().map(|x| x / total).collect();
+        let mut costs = || -> Vec<Vec<f64>> {
+            (0..n)
+                .map(|_| (0..n).map(|_| g.f64_in(0.0, 20.0).round()).collect())
+                .collect()
+        };
+        let costs_a = costs();
+        let costs_b = costs();
+        (pi, costs_a, costs_b)
+    }
+
+    /// Bit-level equality of a transportation-native solve and the
+    /// edge-list solve of the same instance: fingerprint, pivot count,
+    /// cost, flows and the exported basis.
+    fn same_solve(
+        (native, native_basis): &(BipartiteFlow, SpanningBasis),
+        (edges, edge_basis): &(FlowResult, SpanningBasis),
+        ids: &[Vec<Option<usize>>],
+        topology: u64,
+    ) -> Result<(), String> {
+        let bits = |flows: &[f64]| flows.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let checks = [
+            ("fingerprint", native_basis.topology() == topology),
+            ("basis fingerprint", edge_basis.topology() == topology),
+            ("pivots", native.pivots == edges.profile.pivots),
+            ("warm start", native.warm_start == edges.warm_start),
+            ("cost", native.cost.to_bits() == edges.cost.to_bits()),
+            (
+                "flows",
+                bits(&native.flows.concat()) == bits(&flows_of(ids, edges).concat()),
+            ),
+            ("basis states", native_basis.states == edge_basis.states),
+            (
+                "basis flows",
+                bits(&native_basis.flows) == bits(&edge_basis.flows),
+            ),
+        ];
+        match checks.iter().find(|(_, same)| !same) {
+            Some((what, _)) => Err(format!("{what} differ between the two paths")),
+            None => Ok(()),
+        }
+    }
+
+    #[test]
+    fn the_native_instance_solves_like_its_edge_list_network() {
+        let _solving = crate::solving();
+        // The arc array `solve` builds is the edge list the instance used
+        // to be: same fingerprint, same pivot path, bit-equal flows and
+        // basis, cold and warm from a basis solved under other costs.
+        quickprop::check(
+            "transportation-native solve == edge-list solve",
+            quickprop::Config::default().with_seed(0xB6),
+            recosted_instance,
+            |(pi, costs_a, costs_b)| {
+                let sink = 2 * pi.len() + 1;
+                let (net_a, ids) = network(pi, costs_a, off_diagonal);
+                let topology = net_a.fingerprint(0, sink, 1.0);
+                let native = solve(pi, costs_a, None).map_err(|e| e.to_string())?;
+                let edges = net_a
+                    .min_cost_flow_with_basis(0, sink, 1.0)
+                    .map_err(|e| e.to_string())?;
+                same_solve(&native, &edges, &ids, topology).map_err(|e| format!("cold: {e}"))?;
+
+                let (net_b, _) = network(pi, costs_b, off_diagonal);
+                let native = solve(pi, costs_b, Some(&native.1)).map_err(|e| e.to_string())?;
+                let edges = net_b
+                    .min_cost_flow_warm(0, sink, 1.0, &edges.1)
+                    .map_err(|e| e.to_string())?;
+                if !native.0.warm_start {
+                    return Err("the basis was not reused".into());
+                }
+                same_solve(&native, &edges, &ids, topology).map_err(|e| format!("warm: {e}"))
             },
         );
     }
@@ -566,7 +692,7 @@ mod tests {
         let costs: Vec<Vec<f64>> = (0..n)
             .map(|_| (0..n).map(|_| (next() * 10.0).round()).collect())
             .collect();
-        let sol = solve(&pi, &costs, |i, j| i != j).unwrap();
+        let sol = cold(&pi, &costs).unwrap();
         for i in 0..n {
             let row_sum: f64 = sol.flows[i].iter().sum();
             assert!((row_sum - pi[i]).abs() < 1e-7);

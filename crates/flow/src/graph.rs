@@ -1,282 +1,171 @@
-//! Flow network representation and the telemetered solve entry points.
-//!
-//! The network itself is a plain edge list ([`FlowNetwork`]); every solve
-//! runs the network simplex (`simplex`), which builds its own working state
-//! per solve, so the network stays immutable and cheap to share.
+//! A general directed flow network — the test-only input of the
+//! successive-shortest-path oracle (`ssp`) and of the generic-network
+//! simplex tests (negative costs, parallel arcs, residual rerouting). The
+//! one production instance, the transportation network, builds the
+//! simplex's arcs itself (`bipartite`); this module builds them from an
+//! edge list and reads the flows back per edge.
 
-use std::fmt;
-use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use marqsim_obs::{metrics, trace};
-
-use crate::basis::{topology_fingerprint, SpanningBasis};
-
-/// Numerical tolerance for treating residual capacities as zero.
-pub(crate) const CAP_EPS: f64 = 1e-12;
-
-/// Errors produced by the min-cost flow solvers.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FlowError {
-    /// The requested amount of flow cannot be routed from source to sink.
-    Infeasible {
-        /// Flow that could be routed before the network saturated.
-        routed: f64,
-        /// Flow that was requested.
-        requested: f64,
-    },
-    /// Source or sink index is out of range.
-    InvalidNode {
-        /// The offending node index.
-        node: usize,
-        /// Number of nodes in the network.
-        num_nodes: usize,
-    },
-    /// The network-simplex anti-cycling watchdog hit its hard pivot cap
-    /// without reaching optimality. Never returned by a correct solve on
-    /// well-formed inputs; it exists so the backstop can *never* be a
-    /// silent break returning a suboptimal flow.
-    PivotLimit {
-        /// Pivots performed when the cap was hit.
-        pivots: u64,
-    },
-}
-
-impl fmt::Display for FlowError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FlowError::Infeasible { routed, requested } => {
-                write!(
-                    f,
-                    "only {routed} of {requested} units of flow can be routed"
-                )
-            }
-            FlowError::InvalidNode { node, num_nodes } => {
-                write!(
-                    f,
-                    "node {node} out of range for a network with {num_nodes} nodes"
-                )
-            }
-            FlowError::PivotLimit { pivots } => {
-                write!(
-                    f,
-                    "network simplex hit the anti-cycling pivot cap after {pivots} pivots"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for FlowError {}
+use crate::basis::{topology_fingerprint, BasisArcState, SpanningBasis};
+use crate::simplex::{self, Arc, FlowError, SolveProfile, CAP_EPS};
 
 /// The result of a min-cost flow computation.
 #[derive(Debug, Clone)]
-pub struct FlowResult {
+pub(crate) struct FlowResult {
     /// Total flow routed (equals the requested amount on success).
-    pub amount: f64,
+    pub(crate) amount: f64,
     /// Total cost `Σ f(e) · w(e)`.
-    pub cost: f64,
+    pub(crate) cost: f64,
     /// Flow on each edge, indexed by the [`FlowNetwork::add_edge`] return
     /// value.
-    pub edge_flows: Vec<f64>,
-    /// Whether this solve actually reused a saved [`SpanningBasis`]
-    /// (`false` on cold solves and whenever a warm request fell back —
-    /// fingerprint mismatch, corrupt basis).
-    pub warm_start: bool,
-    /// Per-solve profiling (pivot count and phase timings); published to
-    /// the metrics registry by every [`FlowNetwork`] solve.
-    pub profile: SolveProfile,
-}
-
-/// Profiling for one solve: `init` is arc-list and initial-basis
-/// construction (or the restore of a saved basis), `optimize` the pivot
-/// loop, and `pivots` counts basis exchanges.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SolveProfile {
-    /// Basis exchanges.
-    pub pivots: u64,
-    /// Seconds spent building per-solve working state.
-    pub init_seconds: f64,
-    /// Seconds spent in the optimization loop.
-    pub optimize_seconds: f64,
+    pub(crate) edge_flows: Vec<f64>,
+    /// Whether this solve actually reused a saved [`SpanningBasis`].
+    pub(crate) warm_start: bool,
+    /// Pivot count and phase timings.
+    pub(crate) profile: SolveProfile,
 }
 
 /// One directed edge of a [`FlowNetwork`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FlowEdge {
-    /// Tail node.
-    pub from: usize,
-    /// Head node.
-    pub to: usize,
-    /// Capacity (non-negative).
-    pub capacity: f64,
-    /// Cost per unit of flow (finite; may be negative).
-    pub cost: f64,
+pub(crate) struct FlowEdge {
+    pub(crate) from: usize,
+    pub(crate) to: usize,
+    pub(crate) capacity: f64,
+    pub(crate) cost: f64,
 }
 
 /// A directed flow network with real-valued capacities and costs
-/// (Definition 2.7 of the paper).
+/// (Definition 2.7 of the paper), stored as an edge list.
 #[derive(Debug, Clone, Default)]
-pub struct FlowNetwork {
+pub(crate) struct FlowNetwork {
     num_nodes: usize,
     edges: Vec<FlowEdge>,
 }
 
 impl FlowNetwork {
     /// Creates a network with `num_nodes` nodes and no edges.
-    pub fn new(num_nodes: usize) -> Self {
+    pub(crate) fn new(num_nodes: usize) -> Self {
         FlowNetwork {
             num_nodes,
             edges: Vec::new(),
         }
     }
 
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
+    pub(crate) fn num_nodes(&self) -> usize {
         self.num_nodes
     }
 
-    /// Number of edges added via [`Self::add_edge`].
-    pub fn num_edges(&self) -> usize {
+    pub(crate) fn num_edges(&self) -> usize {
         self.edges.len()
     }
 
-    /// The edges, in insertion order (the index of an edge in this slice is
-    /// its edge id).
-    pub fn edges(&self) -> &[FlowEdge] {
+    /// The edges in insertion order (an edge's index is its id).
+    pub(crate) fn edges(&self) -> &[FlowEdge] {
         &self.edges
     }
 
-    /// Adds a directed edge with the given capacity and cost and returns its
-    /// edge id (used to look up the flow in [`FlowResult::edge_flows`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint is out of range, the capacity is negative or the
-    /// cost is not finite.
-    pub fn add_edge(&mut self, from: usize, to: usize, capacity: f64, cost: f64) -> usize {
-        let n = self.num_nodes;
-        assert!(from < n && to < n, "edge endpoints must be existing nodes");
-        assert!(capacity >= 0.0, "capacity must be non-negative");
-        assert!(cost.is_finite(), "cost must be finite");
-        let edge_id = self.edges.len();
+    /// Adds a directed edge and returns its id.
+    pub(crate) fn add_edge(&mut self, from: usize, to: usize, capacity: f64, cost: f64) -> usize {
+        assert!(from < self.num_nodes && to < self.num_nodes);
         self.edges.push(FlowEdge {
             from,
             to,
             capacity,
             cost,
         });
-        edge_id
+        self.edges.len() - 1
     }
 
-    /// Computes a minimum-cost flow of `amount` units from `source` to
-    /// `sink` with the network simplex.
-    ///
-    /// Every solve is telemetered: one `flow_solve` trace span, plus the
-    /// registry's solve counters and latency/phase histograms (see
-    /// `docs/observability.md`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::Infeasible`] (carrying how much flow *could* be
-    /// routed) if the network cannot carry the requested amount, or
-    /// [`FlowError::InvalidNode`] for bad endpoints.
-    pub fn min_cost_flow(
+    /// The topology fingerprint of a solve of this network.
+    pub(crate) fn fingerprint(&self, source: usize, sink: usize, amount: f64) -> u64 {
+        let arcs = self.edges.iter().map(|e| (e.from, e.to, e.capacity));
+        topology_fingerprint(self.num_nodes, arcs, source, sink, amount)
+    }
+
+    /// A cold minimum-cost flow of `amount` units from `source` to `sink`.
+    pub(crate) fn min_cost_flow(
         &self,
         source: usize,
         sink: usize,
         amount: f64,
     ) -> Result<FlowResult, FlowError> {
-        self.solve_telemetered(source, sink, amount, None)
+        self.solve(source, sink, amount, None)
             .map(|(result, _)| result)
     }
 
-    /// Like [`min_cost_flow`](Self::min_cost_flow), additionally returning
-    /// the optimal [`SpanningBasis`]. A trivial solve (zero amount or
-    /// `source == sink`) exports an inert basis that only an identical
-    /// trivial instance matches.
-    /// The basis can seed [`min_cost_flow_warm`](Self::min_cost_flow_warm)
-    /// on later same-topology instances.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`min_cost_flow`](Self::min_cost_flow).
-    pub fn min_cost_flow_with_basis(
+    /// Like [`Self::min_cost_flow`], also returning the optimal basis.
+    pub(crate) fn min_cost_flow_with_basis(
         &self,
         source: usize,
         sink: usize,
         amount: f64,
     ) -> Result<(FlowResult, SpanningBasis), FlowError> {
-        self.solve_telemetered(source, sink, amount, None)
+        self.solve(source, sink, amount, None)
     }
 
-    /// Warm-start re-solve from a saved basis: a matching basis is
-    /// re-priced under this network's costs and re-pivoted to optimality;
-    /// a basis whose topology fingerprint does not match is never applied
-    /// and the solve runs cold. On an actual warm start the solve
-    /// additionally bumps `marqsim_flow_warm_starts_total` and records the
-    /// re-pivot time in `marqsim_flow_repivot_seconds`.
-    ///
-    /// # Errors
-    ///
-    /// Same classification as [`min_cost_flow`](Self::min_cost_flow) —
-    /// infeasibility reports identically warm or cold.
-    pub fn min_cost_flow_warm(
+    /// A re-solve warm from `basis` (cold when it does not match).
+    pub(crate) fn min_cost_flow_warm(
         &self,
         source: usize,
         sink: usize,
         amount: f64,
         basis: &SpanningBasis,
     ) -> Result<(FlowResult, SpanningBasis), FlowError> {
-        self.solve_telemetered(source, sink, amount, Some(basis))
+        self.solve(source, sink, amount, Some(basis))
     }
 
-    fn solve_telemetered(
+    /// The simplex over this network's edges in id order. A trivial solve
+    /// (zero amount or `source == sink`) skips the simplex and exports the
+    /// all-zero artificial star: every real arc at its lower bound, every
+    /// artificial arc basic. Only an identical (hence equally trivial)
+    /// instance matches it, so it is never restored.
+    fn solve(
         &self,
         source: usize,
         sink: usize,
         amount: f64,
         warm: Option<&SpanningBasis>,
     ) -> Result<(FlowResult, SpanningBasis), FlowError> {
-        // One fingerprint per solve: the basis match below, the simplex's
-        // own match and the exported basis all reuse it.
-        let topology = topology_fingerprint(self, source, sink, amount);
-        // The span's `warm` field reports whether a usable (matching)
-        // basis was offered; `FlowResult::warm_start` is the ground truth
-        // for whether it was reused.
-        let warm_requested = warm.is_some_and(|b| b.matches(self, topology));
-        let span = trace::Span::enter("flow_solve")
-            .field("nodes", self.num_nodes)
-            .field("edges", self.edges.len())
-            .field("warm", warm_requested);
-        let started = Instant::now();
-        let result = crate::simplex::solve(self, source, sink, amount, topology, warm);
-        let instruments = flow_metrics();
-        instruments
-            .solve_seconds
-            .record(started.elapsed().as_secs_f64());
-        match &result {
-            Ok((flow, _)) => {
-                instruments.solves.inc();
-                instruments.pivots.add(flow.profile.pivots);
-                if flow.warm_start {
-                    instruments.warm_starts.inc();
-                    instruments
-                        .repivot_seconds
-                        .record(flow.profile.optimize_seconds);
-                }
-                instruments.init_seconds.record(flow.profile.init_seconds);
-                instruments
-                    .optimize_seconds
-                    .record(flow.profile.optimize_seconds);
-            }
-            Err(_) => instruments.solve_errors.inc(),
+        self.validate_endpoints(source, sink)?;
+        let (n, m) = (self.num_nodes, self.edges.len());
+        if amount <= CAP_EPS || source == sink {
+            let mut states = vec![BasisArcState::Lower; m];
+            states.resize(m + n, BasisArcState::Tree);
+            let basis = SpanningBasis {
+                topology: self.fingerprint(source, sink, amount),
+                num_nodes: n,
+                num_real_arcs: m,
+                states,
+                flows: vec![0.0; m + n],
+            };
+            let result = FlowResult {
+                amount,
+                cost: 0.0,
+                edge_flows: vec![0.0; m],
+                warm_start: false,
+                profile: SolveProfile::default(),
+            };
+            return Ok((result, basis));
         }
-        drop(span);
-        result
+        let started = Instant::now();
+        let arcs = self
+            .edges
+            .iter()
+            .map(|e| Arc::real(e.from, e.to, e.capacity, e.cost))
+            .collect();
+        let solved = simplex::solve(n, arcs, source, sink, amount, warm, started)?;
+        let result = FlowResult {
+            amount,
+            cost: solved.cost,
+            edge_flows: solved.arcs[..m].iter().map(|arc| arc.flow).collect(),
+            warm_start: solved.warm_start,
+            profile: solved.profile,
+        };
+        Ok((result, solved.basis))
     }
 
-    /// Shared endpoint validation (the simplex and the test oracle).
+    /// Shared endpoint validation (this network's solve and the oracle).
     pub(crate) fn validate_endpoints(&self, source: usize, sink: usize) -> Result<(), FlowError> {
         let n = self.num_nodes;
         if source >= n || sink >= n {
@@ -289,40 +178,10 @@ impl FlowNetwork {
     }
 }
 
-/// Cached global-registry handles for the flow instruments — registered
-/// once, so the per-solve record path is atomics only.
-struct FlowMetrics {
-    solves: Arc<metrics::Counter>,
-    solve_errors: Arc<metrics::Counter>,
-    solve_seconds: Arc<metrics::Histogram>,
-    pivots: Arc<metrics::Counter>,
-    warm_starts: Arc<metrics::Counter>,
-    repivot_seconds: Arc<metrics::Histogram>,
-    init_seconds: Arc<metrics::Histogram>,
-    optimize_seconds: Arc<metrics::Histogram>,
-}
-
-fn flow_metrics() -> &'static FlowMetrics {
-    static METRICS: OnceLock<FlowMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let registry = metrics::global();
-        FlowMetrics {
-            solves: registry.counter("marqsim_flow_solves_total"),
-            solve_errors: registry.counter("marqsim_flow_solve_errors_total"),
-            solve_seconds: registry.histogram("marqsim_flow_solve_seconds"),
-            pivots: registry.counter("marqsim_flow_pivots_total"),
-            warm_starts: registry.counter("marqsim_flow_warm_starts_total"),
-            repivot_seconds: registry.histogram("marqsim_flow_repivot_seconds"),
-            init_seconds: registry
-                .histogram_with("marqsim_flow_phase_seconds", &[("phase", "init")]),
-            optimize_seconds: registry
-                .histogram_with("marqsim_flow_phase_seconds", &[("phase", "optimize")]),
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
+    use marqsim_obs::metrics;
+
     use super::*;
 
     type Solve = fn(&FlowNetwork, usize, usize, f64) -> Result<FlowResult, FlowError>;

@@ -7,59 +7,61 @@
 //! paper uses Python's `networkx` solver; this crate is the from-scratch
 //! replacement:
 //!
-//! * [`FlowNetwork`] — a directed flow network with real-valued capacities
-//!   and costs (Definition 2.7), stored as an immutable edge list. Every
-//!   solve ([`FlowNetwork::min_cost_flow`]) runs the one backend,
-//!   [`NetworkSimplex`]: primal network simplex on a spanning-tree basis
-//!   with a block-search pivot rule.
-//! * [`bipartite`] — the MarQSim-shaped bipartite transportation network:
-//!   given a marginal distribution `π` and a cost matrix, it returns the
-//!   optimal flow between `Prev` and `Next` copies of the states.
-//! * [`SpanningBasis`] — warm-start re-solves: every solve exports its
-//!   optimal spanning-tree basis, and a later solve over the same topology
-//!   with different costs re-prices and re-pivots from it
-//!   ([`FlowNetwork::min_cost_flow_warm`]) instead of rebuilding from the
-//!   artificial root — the cost-perturbation shape of `P_rp` sampling and
-//!   sweep grids.
+//! * [`bipartite::solve`] — the one entry point: given a marginal
+//!   distribution `π` and a cost matrix, it returns the optimal flow
+//!   between `Prev` and `Next` copies of the states (the diagonal
+//!   excluded), plus the optimal [`SpanningBasis`].
+//! * [`NetworkSimplex`] — the backend every solve runs: primal network
+//!   simplex on a spanning-tree basis with a block-search pivot rule,
+//!   over the arc array the transportation instance builds directly.
+//! * [`SpanningBasis`] — warm-start re-solves: a later solve over the same
+//!   marginal with different costs re-prices and re-pivots from a saved
+//!   basis instead of rebuilding from the artificial root — the
+//!   cost-perturbation shape of `P_rp` sampling and sweep grids.
 //!
 //! The unit tests cross-check the simplex against a successive-shortest-path
-//! oracle (Johnson potentials, Dijkstra inner loop) that is compiled only
-//! for tests: on networks without negative-cost cycles — which includes
-//! every MarQSim model (CNOT counts are non-negative) — both must report
-//! the same optimal cost to 1e-9 and the same [`FlowError`] classification.
-//! See `docs/flow.md` for the architecture.
+//! oracle (Johnson potentials, Dijkstra inner loop) over a general
+//! edge-list network, both compiled only for tests: on networks without
+//! negative-cost cycles — which includes every MarQSim model (CNOT counts
+//! are non-negative) — both must report the same optimal cost to 1e-9 and
+//! the same [`FlowError`] classification. See `docs/flow.md` for the
+//! architecture.
 //!
 //! # Example
 //!
 //! ```
-//! use marqsim_flow::FlowNetwork;
+//! use marqsim_flow::bipartite;
 //!
-//! // Send one unit from 0 to 3 over two parallel routes with different costs.
-//! let mut net = FlowNetwork::new(4);
-//! net.add_edge(0, 1, 1.0, 1.0);
-//! net.add_edge(1, 3, 1.0, 1.0);
-//! net.add_edge(0, 2, 1.0, 5.0);
-//! net.add_edge(2, 3, 1.0, 5.0);
-//! let result = net.min_cost_flow(0, 3, 1.0).unwrap();
-//! assert!((result.cost - 2.0).abs() < 1e-9);
+//! // Three states; moving between states 0 and 1 is cheap. State 2
+//! // must send and receive its 0.2 at cost 4, and states 0 and 1 trade
+//! // the remaining 0.6 at cost 1.
+//! let pi = [0.4, 0.4, 0.2];
+//! let costs = vec![
+//!     vec![0.0, 1.0, 4.0],
+//!     vec![1.0, 0.0, 4.0],
+//!     vec![4.0, 4.0, 0.0],
+//! ];
+//! let (flow, basis) = bipartite::solve(&pi, &costs, None).unwrap();
+//! assert!((flow.cost - 2.2).abs() < 1e-9);
+//! assert_eq!(flow.flows[2][2], 0.0);
 //!
-//! // Re-solve with new costs, warm from the first solve's basis.
-//! let (_, basis) = net.min_cost_flow_with_basis(0, 3, 1.0).unwrap();
-//! let mut recosted = FlowNetwork::new(4);
-//! recosted.add_edge(0, 1, 1.0, 5.0);
-//! recosted.add_edge(1, 3, 1.0, 5.0);
-//! recosted.add_edge(0, 2, 1.0, 1.0);
-//! recosted.add_edge(2, 3, 1.0, 1.0);
-//! let (warm, _) = recosted
-//!     .min_cost_flow_warm(0, 3, 1.0, &basis)
-//!     .unwrap();
-//! assert!(warm.warm_start);
-//! assert!((warm.cost - 2.0).abs() < 1e-9);
+//! // Re-solve with new costs, warm from the first solve's basis: the
+//! // same optimum as a cold solve.
+//! let recosted = vec![
+//!     vec![0.0, 2.0, 1.0],
+//!     vec![3.0, 0.0, 1.0],
+//!     vec![1.0, 5.0, 0.0],
+//! ];
+//! let (warm, _) = bipartite::solve(&pi, &recosted, Some(&basis)).unwrap();
+//! let (cold, _) = bipartite::solve(&pi, &recosted, None).unwrap();
+//! assert!(warm.warm_start && !cold.warm_start);
+//! assert!((warm.cost - cold.cost).abs() < 1e-9);
 //! ```
 
 mod basis;
 #[cfg(test)]
 mod csr;
+#[cfg(test)]
 mod graph;
 mod simplex;
 #[cfg(test)]
@@ -67,9 +69,8 @@ mod ssp;
 
 pub mod bipartite;
 
-pub use basis::{topology_fingerprint, SpanningBasis};
-pub use graph::{FlowEdge, FlowError, FlowNetwork, FlowResult, SolveProfile};
-pub use simplex::NetworkSimplex;
+pub use basis::SpanningBasis;
+pub use simplex::{FlowError, NetworkSimplex};
 
 /// Test-only guard over the process-global flow instruments: every unit
 /// test that solves holds it shared ([`solving`]), and the registry test

@@ -64,10 +64,16 @@
 //! 0.37–0.55 s and tree updates from 0.36–0.49 s to 0.04–0.05 s, and the
 //! solve from 1.30–1.81 s to 0.58–0.67 s (`BENCH.md`).
 
+use std::fmt;
+use std::sync::OnceLock;
 use std::time::Instant;
 
-use crate::basis::{BasisArcState as ArcState, SpanningBasis};
-use crate::graph::{FlowError, FlowNetwork, FlowResult, SolveProfile, CAP_EPS};
+use marqsim_obs::{metrics, trace};
+
+use crate::basis::{topology_fingerprint, BasisArcState as ArcState, SpanningBasis};
+
+/// Numerical tolerance for treating residual capacities as zero.
+pub(crate) const CAP_EPS: f64 = 1e-12;
 
 /// Reduced-cost violation threshold for pricing: an arc enters only if its
 /// violation exceeds this, so float noise cannot drive endless pivots.
@@ -100,20 +106,139 @@ impl NetworkSimplex {
     }
 }
 
+/// Errors produced by a min-cost-flow solve.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FlowError {
+    /// The requested amount of flow cannot be routed from source to sink.
+    Infeasible {
+        /// Flow that could be routed before the network saturated.
+        routed: f64,
+        /// Flow that was requested.
+        requested: f64,
+    },
+    /// Source or sink index is out of range.
+    InvalidNode {
+        /// The offending node index.
+        node: usize,
+        /// Number of nodes in the network.
+        num_nodes: usize,
+    },
+    /// The network-simplex anti-cycling watchdog hit its hard pivot cap
+    /// without reaching optimality. Never returned by a correct solve on
+    /// well-formed inputs; it exists so the backstop can *never* be a
+    /// silent break returning a suboptimal flow.
+    PivotLimit {
+        /// Pivots performed when the cap was hit.
+        pivots: u64,
+    },
+}
+
+impl fmt::Display for FlowError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FlowError::Infeasible { routed, requested } => {
+                write!(
+                    f,
+                    "only {routed} of {requested} units of flow can be routed"
+                )
+            }
+            FlowError::InvalidNode { node, num_nodes } => {
+                write!(
+                    f,
+                    "node {node} out of range for a network with {num_nodes} nodes"
+                )
+            }
+            FlowError::PivotLimit { pivots } => {
+                write!(
+                    f,
+                    "network simplex hit the anti-cycling pivot cap after {pivots} pivots"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for FlowError {}
+
+/// Profiling for one solve: `init` runs from the start of the caller's arc
+/// construction to the first pivot (arcs, fingerprint, basis restore or
+/// artificial start, tree), `optimize` is the pivot loop, and `pivots`
+/// counts basis exchanges.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct SolveProfile {
+    /// Basis exchanges.
+    pub(crate) pivots: u64,
+    /// Seconds spent building per-solve working state.
+    pub(crate) init_seconds: f64,
+    /// Seconds spent in the optimization loop.
+    pub(crate) optimize_seconds: f64,
+}
+
+/// One arc of the simplex's working array. Callers build the real arcs
+/// ([`Arc::real`]), in the order that numbers them; the solve appends one
+/// artificial arc per node.
 #[derive(Debug, Clone)]
-struct Arc {
+pub(crate) struct Arc {
     from: usize,
     to: usize,
     upper: f64,
     cost: f64,
-    flow: f64,
+    pub(crate) flow: f64,
     state: ArcState,
 }
 
 impl Arc {
+    /// A real arc from `from` to `to` with capacity `upper` and unit cost
+    /// `cost`, empty and at its lower bound.
+    pub(crate) fn real(from: usize, to: usize, upper: f64, cost: f64) -> Self {
+        Self {
+            from,
+            to,
+            upper,
+            cost,
+            flow: 0.0,
+            state: ArcState::Lower,
+        }
+    }
+
     fn residual(&self) -> f64 {
         self.upper - self.flow
     }
+}
+
+/// The outcome of a successful [`solve`].
+pub(crate) struct Solved {
+    /// The arcs at the optimum: the caller's real arcs in its order, then
+    /// the artificial arcs.
+    pub(crate) arcs: Vec<Arc>,
+    /// Total cost `Σ f(a) · c(a)` over the real arcs.
+    pub(crate) cost: f64,
+    /// Whether the solve re-pivoted the offered basis.
+    pub(crate) warm_start: bool,
+    pub(crate) profile: SolveProfile,
+    /// The optimal basis, for later warm starts.
+    pub(crate) basis: SpanningBasis,
+}
+
+/// Big-M cost for the artificial arcs of a `nodes`-node network whose arc
+/// costs are at most `max_abs_cost` in magnitude: any simple path of real
+/// arcs is cheaper, so the optimum drives artificial flow to its minimum
+/// (zero when the demand is routable, the unroutable remainder otherwise).
+/// Rounded up to a power of two so M itself is exactly representable and
+/// adds no rounding error of its own to the potentials it dominates.
+fn big_m(nodes: usize, max_abs_cost: f64) -> f64 {
+    f64::powi(
+        2.0,
+        (1.0 + (nodes as f64) * max_abs_cost).log2().ceil() as i32,
+    )
+}
+
+/// Whether the pivots of a `nodes`-node network with arc costs at most
+/// `max_abs_cost` in magnitude stay finite. Every node's root path
+/// crosses one artificial arc, so potentials stay below `2M` and reduced
+/// costs below `5M`; `8M` must therefore be finite.
+pub(crate) fn costs_fit(nodes: usize, max_abs_cost: f64) -> bool {
+    (8.0 * big_m(nodes, max_abs_cost)).is_finite()
 }
 
 /// The pricing view of one arc, kept beside the full [`Arc`] so a block
@@ -272,80 +397,142 @@ fn far_node(arcs: &[Arc], end: usize) -> usize {
     }
 }
 
-/// The shared cold/warm solve. `topology` is the instance's
-/// [`topology_fingerprint`](crate::topology_fingerprint), computed once by
-/// the caller. `warm` is a basis
-/// to restore; if it does not match the instance or fails validation the
-/// solve silently starts cold, so a stale or corrupt basis can cost time
-/// but never correctness. Returns the optimal basis alongside the flow. The trivial zero-amount
-/// or `source == sink` solve skips the simplex and exports the all-zero
-/// artificial star: every real arc at its lower bound, every artificial
-/// arc basic. Only an identical (hence equally trivial) instance matches
-/// it, so it is never restored.
+/// Solves a min-cost flow of `amount > 0` units from `source` to `sink`
+/// (distinct nodes below `nodes`) over the real `arcs`, warm from `warm`
+/// when it matches. `started` is when the caller began building `arcs`;
+/// the init phase runs from there to the first pivot.
+///
+/// The instance's [`topology_fingerprint`] is computed once here; a basis
+/// whose fingerprint or dimensions differ is never offered to the
+/// simplex, and one that fails validation falls back to a cold solve, so
+/// a stale or corrupt basis can cost time but never correctness.
+///
+/// Every solve is telemetered: one `flow_solve` trace span, plus the
+/// registry's solve counters and latency/phase histograms (see
+/// `docs/observability.md`). On an actual warm start the solve also bumps
+/// `marqsim_flow_warm_starts_total` and records the re-pivot time in
+/// `marqsim_flow_repivot_seconds`.
 pub(crate) fn solve(
-    network: &FlowNetwork,
+    nodes: usize,
+    arcs: Vec<Arc>,
     source: usize,
     sink: usize,
     amount: f64,
-    topology: u64,
     warm: Option<&SpanningBasis>,
-) -> Result<(FlowResult, SpanningBasis), FlowError> {
-    network.validate_endpoints(source, sink)?;
-    let num_real = network.num_edges();
-    let n = network.num_nodes();
-    if amount <= CAP_EPS || source == sink {
-        let mut states = vec![ArcState::Lower; num_real];
-        states.resize(num_real + n, ArcState::Tree);
-        return Ok((
-            FlowResult {
-                amount,
-                cost: 0.0,
-                edge_flows: vec![0.0; num_real],
-                warm_start: false,
-                profile: SolveProfile::default(),
-            },
-            SpanningBasis {
+    started: Instant,
+) -> Result<Solved, FlowError> {
+    let topology = topology_fingerprint(
+        nodes,
+        arcs.iter().map(|arc| (arc.from, arc.to, arc.upper)),
+        source,
+        sink,
+        amount,
+    );
+    // The span's `warm` field reports whether a matching basis was
+    // offered; `Solved::warm_start` whether it was reused.
+    let warm = warm.filter(|basis| basis.matches(nodes, arcs.len(), topology));
+    let span = trace::Span::enter("flow_solve")
+        .field("nodes", nodes)
+        .field("edges", arcs.len())
+        .field("warm", warm.is_some());
+    let num_real = arcs.len();
+    let result = optimize(nodes, arcs, source, sink, amount, warm, started).map(
+        |(arcs, warm_start, profile)| Solved {
+            cost: arcs[..num_real]
+                .iter()
+                .fold(0.0, |cost, arc| cost + arc.flow * arc.cost),
+            basis: SpanningBasis {
                 topology,
-                num_nodes: n,
+                num_nodes: nodes,
                 num_real_arcs: num_real,
-                states,
-                flows: vec![0.0; num_real + n],
+                states: arcs.iter().map(|a| a.state).collect(),
+                flows: arcs.iter().map(|a| a.flow).collect(),
             },
-        ));
+            arcs,
+            warm_start,
+            profile,
+        },
+    );
+    let instruments = flow_metrics();
+    instruments
+        .solve_seconds
+        .record(started.elapsed().as_secs_f64());
+    match &result {
+        Ok(solved) => {
+            let profile = &solved.profile;
+            instruments.solves.inc();
+            instruments.pivots.add(profile.pivots);
+            if solved.warm_start {
+                instruments.warm_starts.inc();
+                instruments.repivot_seconds.record(profile.optimize_seconds);
+            }
+            instruments.init_seconds.record(profile.init_seconds);
+            instruments
+                .optimize_seconds
+                .record(profile.optimize_seconds);
+        }
+        Err(_) => instruments.solve_errors.inc(),
     }
+    drop(span);
+    result
+}
 
-    let init_started = Instant::now();
+/// Cached global-registry handles for the flow instruments — registered
+/// once, so the per-solve record path is atomics only.
+struct FlowMetrics {
+    solves: std::sync::Arc<metrics::Counter>,
+    solve_errors: std::sync::Arc<metrics::Counter>,
+    solve_seconds: std::sync::Arc<metrics::Histogram>,
+    pivots: std::sync::Arc<metrics::Counter>,
+    warm_starts: std::sync::Arc<metrics::Counter>,
+    repivot_seconds: std::sync::Arc<metrics::Histogram>,
+    init_seconds: std::sync::Arc<metrics::Histogram>,
+    optimize_seconds: std::sync::Arc<metrics::Histogram>,
+}
+
+fn flow_metrics() -> &'static FlowMetrics {
+    static METRICS: OnceLock<FlowMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let registry = metrics::global();
+        FlowMetrics {
+            solves: registry.counter("marqsim_flow_solves_total"),
+            solve_errors: registry.counter("marqsim_flow_solve_errors_total"),
+            solve_seconds: registry.histogram("marqsim_flow_solve_seconds"),
+            pivots: registry.counter("marqsim_flow_pivots_total"),
+            warm_starts: registry.counter("marqsim_flow_warm_starts_total"),
+            repivot_seconds: registry.histogram("marqsim_flow_repivot_seconds"),
+            init_seconds: registry
+                .histogram_with("marqsim_flow_phase_seconds", &[("phase", "init")]),
+            optimize_seconds: registry
+                .histogram_with("marqsim_flow_phase_seconds", &[("phase", "optimize")]),
+        }
+    })
+}
+
+/// The simplex proper: artificial start or restored basis, then the pivot
+/// loop, then the infeasibility classification shared by both starts.
+/// Returns the optimal arcs, whether `warm` was re-pivoted, and the
+/// profile.
+fn optimize(
+    n: usize,
+    mut arcs: Vec<Arc>,
+    source: usize,
+    sink: usize,
+    amount: f64,
+    warm: Option<&SpanningBasis>,
+    started: Instant,
+) -> Result<(Vec<Arc>, bool, SolveProfile), FlowError> {
+    let num_real = arcs.len();
     let root = n;
 
-    // Big-M cost for the artificial arcs: any simple path of real arcs
-    // is cheaper, so the optimum drives artificial flow to its minimum
-    // (zero when the demand is routable, the unroutable remainder
-    // otherwise). Rounded up to a power of two so M itself is exactly
-    // representable and adds no rounding error of its own to the
-    // potentials it dominates.
-    let max_abs_cost = network
-        .edges()
-        .iter()
-        .map(|e| e.cost.abs())
-        .fold(0.0f64, f64::max);
-    let big_m = f64::powi(2.0, (1.0 + (n as f64) * max_abs_cost).log2().ceil() as i32);
+    let max_abs_cost = arcs.iter().map(|a| a.cost.abs()).fold(0.0f64, f64::max);
+    let big_m = big_m(n, max_abs_cost);
 
-    // Real arcs first, then one artificial arc per node. The source's
+    // One artificial arc per node after the real arcs. The source's
     // excess flows source→root, the sink's root→sink; every other node
     // is balanced and its artificial arc just completes the initial
     // basis with zero flow.
-    let mut arcs: Vec<Arc> = network
-        .edges()
-        .iter()
-        .map(|e| Arc {
-            from: e.from,
-            to: e.to,
-            upper: e.capacity,
-            cost: e.cost,
-            flow: 0.0,
-            state: ArcState::Lower,
-        })
-        .collect();
+    arcs.reserve_exact(n);
     for v in 0..n {
         let excess = if v == source { amount } else { 0.0 };
         let deficit = if v == sink { amount } else { 0.0 };
@@ -365,15 +552,10 @@ pub(crate) fn solve(
     }
     let total_arcs = arcs.len();
 
-    // Try to restore the saved basis. Flows and states are
-    // cost-independent, so a matching basis is primal-feasible as-is;
-    // only the potentials (recomputed below) change under new costs.
-    let mut warm_used = false;
-    if let Some(basis) = warm {
-        if basis.matches(network, topology) && restore(&mut arcs, basis, source, sink, amount) {
-            warm_used = true;
-        }
-    }
+    // Restore the offered (matching) basis. Flows and states are
+    // cost-independent, so a valid basis is primal-feasible as-is; only
+    // the potentials (recomputed below) change under new costs.
+    let mut warm_used = warm.is_some_and(|basis| restore(&mut arcs, basis, source, sink, amount));
 
     let mut tree = Tree::new(n + 1, total_arcs);
     for (arc_id, arc) in arcs.iter().enumerate() {
@@ -425,7 +607,7 @@ pub(crate) fn solve(
     let mut pivots = 0usize;
     let optimize_started = Instant::now();
     let init_seconds = optimize_started
-        .saturating_duration_since(init_started)
+        .saturating_duration_since(started)
         .as_secs_f64();
 
     loop {
@@ -486,33 +668,12 @@ pub(crate) fn solve(
         });
     }
 
-    let mut cost = 0.0;
-    let mut edge_flows = vec![0.0f64; num_real];
-    for (id, arc) in arcs[..num_real].iter().enumerate() {
-        edge_flows[id] = arc.flow;
-        cost += arc.flow * arc.cost;
-    }
-    let basis = SpanningBasis {
-        topology,
-        num_nodes: n,
-        num_real_arcs: num_real,
-        states: arcs.iter().map(|a| a.state).collect(),
-        flows: arcs.iter().map(|a| a.flow).collect(),
+    let profile = SolveProfile {
+        pivots: pivots as u64,
+        init_seconds,
+        optimize_seconds: optimize_started.elapsed().as_secs_f64(),
     };
-    Ok((
-        FlowResult {
-            amount,
-            cost,
-            edge_flows,
-            warm_start: warm_used,
-            profile: SolveProfile {
-                pivots: pivots as u64,
-                init_seconds,
-                optimize_seconds: optimize_started.elapsed().as_secs_f64(),
-            },
-        },
-        basis,
-    ))
+    Ok((arcs, warm_used, profile))
 }
 
 /// Restores the saved per-arc states and flows onto a freshly built arc
@@ -934,7 +1095,9 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ssp, topology_fingerprint};
+    use crate::bipartite::{self, BipartiteError, BipartiteFlow};
+    use crate::graph::FlowNetwork;
+    use crate::ssp;
 
     #[test]
     fn simplex_matches_ssp_on_a_grid_of_random_instances() {
@@ -1160,8 +1323,9 @@ mod tests {
         net.add_edge(1, 2, 2.0, 1.0);
         let (r, basis) = net.min_cost_flow_with_basis(0, 2, 0.0).unwrap();
         assert_eq!(r.cost, 0.0);
-        assert!(basis.matches(&net, topology_fingerprint(&net, 0, 2, 0.0)));
-        assert!(!basis.matches(&net, topology_fingerprint(&net, 0, 2, 1.0)));
+        let (nodes, edges) = (net.num_nodes(), net.num_edges());
+        assert!(basis.matches(nodes, edges, net.fingerprint(0, 2, 0.0)));
+        assert!(!basis.matches(nodes, edges, net.fingerprint(0, 2, 1.0)));
         let (r, _) = net.min_cost_flow_warm(0, 2, 1.0, &basis).unwrap();
         assert!(!r.warm_start, "a trivial basis never seeds a real solve");
         assert!((r.cost - 2.0).abs() < 1e-9);
@@ -1243,43 +1407,21 @@ mod tests {
         );
     }
 
-    /// A bipartite transportation instance shaped like the gate-cancellation
-    /// model: `S → L_i → R_j → T` with the diagonal excluded and small
-    /// integer costs (CNOT counts), so ties and degenerate pivots abound.
-    fn transport(marginal: &[f64], costs: &[Vec<f64>]) -> (FlowNetwork, usize, usize, f64) {
-        let side = marginal.len();
-        let (s, t) = (0, 2 * side + 1);
-        let mut net = FlowNetwork::new(2 * side + 2);
-        for (i, &p) in marginal.iter().enumerate() {
-            net.add_edge(s, 1 + i, p, 0.0);
-            net.add_edge(1 + side + i, t, p, 0.0);
-        }
-        for (i, row) in costs.iter().enumerate() {
-            for (j, &cost) in row.iter().enumerate() {
-                if i != j {
-                    net.add_edge(1 + i, 1 + side + j, 1e18, cost);
-                }
-            }
-        }
-        (net, s, t, marginal.iter().sum())
-    }
-
-    /// Bit-level equality of two solves: pivot count, per-arc flows and
-    /// the exported basis.
+    /// Bit-level equality of two solves: pivot count, flows and the
+    /// exported basis.
     fn same_solve(
-        got: &Result<(FlowResult, SpanningBasis), FlowError>,
-        want: &Result<(FlowResult, SpanningBasis), FlowError>,
+        got: &Result<(BipartiteFlow, SpanningBasis), BipartiteError>,
+        want: &Result<(BipartiteFlow, SpanningBasis), BipartiteError>,
     ) -> Result<(), String> {
         let bits = |flows: &[f64]| flows.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         match (got, want) {
             (Ok((a, basis_a)), Ok((b, basis_b))) => {
-                if a.profile.pivots != b.profile.pivots {
-                    return Err(format!(
-                        "pivots {} vs reference {}",
-                        a.profile.pivots, b.profile.pivots
-                    ));
+                if a.pivots != b.pivots {
+                    return Err(format!("pivots {} vs reference {}", a.pivots, b.pivots));
                 }
-                if bits(&a.edge_flows) != bits(&b.edge_flows) || a.warm_start != b.warm_start {
+                if bits(&a.flows.concat()) != bits(&b.flows.concat())
+                    || a.warm_start != b.warm_start
+                {
                     return Err("flows differ from the reference".into());
                 }
                 if basis_a.states != basis_b.states || bits(&basis_a.flows) != bits(&basis_b.flows)
@@ -1299,10 +1441,13 @@ mod tests {
 
     #[test]
     fn incremental_pivots_match_the_recompute_reference_cold_and_warm() {
+        let _solving = crate::solving();
         // The re-hang and compact pricing must walk the same pivot path as
         // full-arc pricing with a whole-tree recompute after every pivot:
         // the same pivot count and bit-equal flows, cold and warm from a
-        // basis solved under perturbed costs.
+        // basis solved under perturbed costs. The instances are
+        // gate-cancellation shaped (diagonal excluded, small integer
+        // costs), so ties and degenerate pivots abound.
         quickprop::check(
             "incremental pivots match the recompute reference",
             quickprop::Config::default(),
@@ -1321,26 +1466,22 @@ mod tests {
                 (marginal, costs, perturbed)
             },
             |(marginal, costs, perturbed)| {
-                let (net, s, t, amount) = transport(marginal, costs);
-                let topology = topology_fingerprint(&net, s, t, amount);
-                let cold = solve(&net, s, t, amount, topology, None);
+                let cold = bipartite::solve(marginal, costs, None);
                 same_solve(
                     &cold,
-                    &reference::run(|| solve(&net, s, t, amount, topology, None)),
+                    &reference::run(|| bipartite::solve(marginal, costs, None)),
                 )?;
                 let Ok((_, basis)) = &cold else {
                     return Ok(());
                 };
-                let (recosted, s, t, amount) = transport(marginal, perturbed);
-                let topology = topology_fingerprint(&recosted, s, t, amount);
-                let warm = solve(&recosted, s, t, amount, topology, Some(basis));
+                let warm = bipartite::solve(marginal, perturbed, Some(basis));
                 if let Ok((flow, _)) = &warm {
                     if !flow.warm_start {
                         return Err("the perturbed-cost basis was not reused".into());
                     }
                 }
                 let reference =
-                    reference::run(|| solve(&recosted, s, t, amount, topology, Some(basis)));
+                    reference::run(|| bipartite::solve(marginal, perturbed, Some(basis)));
                 same_solve(&warm, &reference)
             },
         );

@@ -12,7 +12,8 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::csr::{Csr, NO_EDGE};
-use crate::graph::{FlowError, FlowNetwork, FlowResult, SolveProfile, CAP_EPS};
+use crate::graph::{FlowNetwork, FlowResult};
+use crate::simplex::{FlowError, SolveProfile, CAP_EPS};
 
 /// Binary-heap entry for Dijkstra (min-heap via reversed ordering).
 #[derive(Debug, PartialEq)]

@@ -1,13 +1,14 @@
 //! The network-simplex pivot loop makes no heap allocation: two solves of
-//! one topology under different costs take different numbers of pivots but
-//! make exactly the same allocations. This test binary counts allocations
-//! per thread with its own global allocator, so parallel tests do not
-//! disturb each other's counts.
+//! one transportation instance under different costs take different
+//! numbers of pivots but make exactly the same allocations, cold and as
+//! warm re-pivots from one basis. This test binary counts allocations per
+//! thread with its own global allocator, so parallel tests do not disturb
+//! each other's counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use marqsim_flow::FlowNetwork;
+use marqsim_flow::{bipartite, SpanningBasis};
 
 struct Counting;
 
@@ -50,47 +51,59 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// A gate-cancellation-shaped transportation instance over `side` states
-/// with the diagonal excluded; `cost(i, j)` prices the inner arcs.
-fn transport(side: usize, cost: impl Fn(usize, usize) -> f64) -> FlowNetwork {
-    let mut net = FlowNetwork::new(2 * side + 2);
-    for i in 0..side {
-        net.add_edge(0, 1 + i, 1.0 / side as f64, 0.0);
-        net.add_edge(1 + side + i, 2 * side + 1, 1.0 / side as f64, 0.0);
-        for j in 0..side {
-            if i != j {
-                net.add_edge(1 + i, 1 + side + j, 1e18, cost(i, j));
-            }
-        }
-    }
-    net
+/// States of the test instances, each carrying the same mass.
+const SIDE: usize = 24;
+
+/// A gate-cancellation-shaped cost matrix: `cost(i, j)` prices the inner
+/// arc from state `i` to state `j` (the diagonal is never an arc).
+fn costs(cost: impl Fn(usize, usize) -> f64) -> Vec<Vec<f64>> {
+    (0..SIDE)
+        .map(|i| (0..SIDE).map(|j| cost(i, j)).collect())
+        .collect()
 }
 
-/// Pivots and allocations of one cold solve of `net`.
-fn pivots_and_allocations(net: &FlowNetwork) -> (u64, u64) {
-    let sink = net.num_nodes() - 1;
+/// Pivots and allocations of one solve, warm from `basis` when given.
+fn pivots_and_allocations(costs: &[Vec<f64>], basis: Option<&SpanningBasis>) -> (u64, u64) {
+    let marginal = vec![1.0 / SIDE as f64; SIDE];
     let before = ALLOCATIONS.with(Cell::get);
-    let (flow, _basis) = net.min_cost_flow_with_basis(0, sink, 1.0).unwrap();
-    (flow.profile.pivots, ALLOCATIONS.with(Cell::get) - before)
+    let (flow, _basis) = bipartite::solve(&marginal, costs, basis).unwrap();
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    assert_eq!(flow.warm_start, basis.is_some());
+    (flow.pivots, allocations)
+}
+
+/// Asserts that the two solves pivot differently but allocate the same.
+fn same_allocations((a_pivots, a_allocations): (u64, u64), (b_pivots, b_allocations): (u64, u64)) {
+    assert_ne!(a_pivots, b_pivots, "the solves must pivot differently");
+    assert_eq!(
+        a_allocations, b_allocations,
+        "{a_pivots} pivots made {a_allocations} allocations, \
+         {b_pivots} pivots made {b_allocations}"
+    );
 }
 
 #[test]
 fn solves_allocate_the_same_whatever_their_pivot_count() {
-    let side = 24;
-    let flat = transport(side, |_, _| 1.0);
-    let spread = transport(side, |i, j| ((i * 7 + j * 13) % 11) as f64);
+    let flat = costs(|_, _| 1.0);
+    let spread = costs(|i, j| ((i * 7 + j * 13) % 11) as f64);
     // The first solve registers the flow instruments; only later solves
     // are compared.
-    pivots_and_allocations(&flat);
-    let (flat_pivots, flat_allocations) = pivots_and_allocations(&flat);
-    let (spread_pivots, spread_allocations) = pivots_and_allocations(&spread);
-    assert_ne!(
-        flat_pivots, spread_pivots,
-        "the instances must pivot differently"
+    pivots_and_allocations(&flat, None);
+    same_allocations(
+        pivots_and_allocations(&flat, None),
+        pivots_and_allocations(&spread, None),
     );
-    assert_eq!(
-        flat_allocations, spread_allocations,
-        "{flat_pivots} pivots made {flat_allocations} allocations, \
-         {spread_pivots} pivots made {spread_allocations}"
+}
+
+#[test]
+fn warm_re_pivots_allocate_the_same_whatever_their_pivot_count() {
+    let flat = costs(|_, _| 1.0);
+    let marginal = vec![1.0 / SIDE as f64; SIDE];
+    let (_, basis) = bipartite::solve(&marginal, &flat, None).unwrap();
+    let spread = costs(|i, j| ((i * 7 + j * 13) % 11) as f64);
+    let skewed = costs(|i, j| ((i * 5 + j * 3) % 7) as f64);
+    same_allocations(
+        pivots_and_allocations(&spread, Some(&basis)),
+        pivots_and_allocations(&skewed, Some(&basis)),
     );
 }

@@ -808,6 +808,39 @@ mod tests {
         front.shutdown();
     }
 
+    fn non_finite_perturbations(role: Role) {
+        let front = spawn_front(role, None, None);
+        let (mut raw, mut reader) = raw_connect(&front);
+        // `1e400` parses to infinity. It used to reach the flow model as
+        // an infinite edge cost, and the job failed with a panic message.
+        let perturbation = r#""samples":2,"magnitude":1e400,"probability":0.5,"seed":1"#;
+        let submits = [
+            format!(
+                r#"{{"verb":"submit","label":"t/inf-prp","kind":"perturb_average","params":{{"hamiltonian":"0.6 XZ + 0.4 ZY + 0.3 XX",{perturbation}}}}}"#
+            ),
+            format!(
+                r#"{{"verb":"submit","label":"t/inf-gcrp","kind":"compile","params":{{"hamiltonian":"0.6 XZ + 0.4 ZY + 0.3 XX","strategy":{{"kind":"gc-rp","qdrift_weight":0.2,"gc_weight":0.4,"perturbation":{{{perturbation}}}}},"time":0.4,"epsilon":0.05,"seed":2,"evaluate_fidelity":false}}}}"#
+            ),
+        ];
+        for submit in submits {
+            raw.write_all(submit.as_bytes()).unwrap();
+            raw.write_all(b"\n").unwrap();
+            // A node rejects the submit with `error`; a router has already
+            // acked it, so the node's rejection arrives as `failed` (the
+            // router re-encodes the infinity, which is not a JSON number).
+            let rejection = read_until(&mut reader, |line| {
+                line.contains("\"error\"") || line.contains("\"failed\"")
+            });
+            let expected = match role {
+                Role::Node => "field 'magnitude' must be a finite number",
+                Role::Router => "field 'magnitude' must be a number",
+            };
+            assert!(rejection.contains(expected), "{rejection}");
+            assert!(!rejection.contains("panic"), "{rejection}");
+        }
+        front.shutdown();
+    }
+
     fn idle_reaping(role: Role) {
         let front = spawn_front(role, None, Some(Duration::from_millis(200)));
 
@@ -976,6 +1009,9 @@ mod tests {
         malformed_requests:
             malformed_requests_keep_the_connection_alive,
             router_malformed_requests_keep_the_connection_alive;
+        non_finite_perturbations:
+            non_finite_perturbation_magnitudes_get_an_error_reply,
+            router_non_finite_perturbation_magnitudes_get_an_error_reply;
         auth_gate:
             auth_token_gates_non_loopback_grade_servers,
             router_auth_token_gates_non_loopback_grade_servers;

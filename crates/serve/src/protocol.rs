@@ -459,11 +459,25 @@ fn perturbation_to_json(p: &PerturbationConfig) -> Json {
     ])
 }
 
-fn perturbation_from_json(json: &Json) -> Result<PerturbationConfig, WireError> {
+/// Decodes a perturbation configuration (shared with the registry
+/// codecs). `magnitude` and `probability` must be finite: JSON has no
+/// infinity, but `1e400` parses to one, and an infinite magnitude would
+/// reach the flow model as an infinite cost.
+pub(crate) fn perturbation_from_json(json: &Json) -> Result<PerturbationConfig, WireError> {
+    let finite = |key: &str| {
+        let value = f64_field(json, key)?;
+        if value.is_finite() {
+            Ok(value)
+        } else {
+            Err(WireError::shape(format!(
+                "field '{key}' must be a finite number"
+            )))
+        }
+    };
     Ok(PerturbationConfig {
         samples: usize_field(json, "samples")?,
-        magnitude: f64_field(json, "magnitude")?,
-        probability: f64_field(json, "probability")?,
+        magnitude: finite("magnitude")?,
+        probability: finite("probability")?,
         seed: u64_field(json, "seed")?,
     })
 }
@@ -1489,6 +1503,38 @@ mod tests {
             assert_eq!(
                 strategy_from_json(&Json::parse(&json.encode()).unwrap()).unwrap(),
                 strategy
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_perturbation_parameters_are_shape_errors() {
+        for (key, value) in [
+            ("magnitude", "1e400"),
+            ("magnitude", "-1e400"),
+            ("probability", "1e400"),
+        ] {
+            let mut fields = vec![
+                ("samples", "2"),
+                ("magnitude", "1.0"),
+                ("probability", "0.5"),
+                ("seed", "3"),
+            ];
+            for field in &mut fields {
+                if field.0 == key {
+                    field.1 = value;
+                }
+            }
+            let body = fields
+                .iter()
+                .map(|(k, v)| format!("\"{k}\":{v}"))
+                .collect::<Vec<_>>()
+                .join(",");
+            let json = Json::parse(&format!("{{{body}}}")).unwrap();
+            let err = perturbation_from_json(&json).unwrap_err();
+            assert_eq!(
+                err.message,
+                format!("field '{key}' must be a finite number")
             );
         }
     }

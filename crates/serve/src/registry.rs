@@ -43,7 +43,6 @@
 
 use std::collections::BTreeMap;
 
-use marqsim_core::perturb::PerturbationConfig;
 use marqsim_engine::{
     BenchmarkSuiteResult, BenchmarkSuiteWorkload, CompileOutcome, CompileRequest, CompileWorkload,
     PerturbAverageResult, PerturbAverageWorkload, SweepRequest, SweepWorkload, Workload,
@@ -52,9 +51,9 @@ use marqsim_engine::{
 use marqsim_pauli::Hamiltonian;
 
 use crate::protocol::{
-    bool_field, compile_summary_to_json, f64_field, field, perturb_result_to_json, str_field,
-    strategy_from_json, suite_result_to_json, sweep_config_from_json, sweep_result_to_json,
-    u64_field, usize_field, CompileSummary,
+    bool_field, compile_summary_to_json, f64_field, field, perturb_result_to_json,
+    perturbation_from_json, str_field, strategy_from_json, suite_result_to_json,
+    sweep_config_from_json, sweep_result_to_json, u64_field, CompileSummary,
 };
 use crate::wire::Json;
 
@@ -228,12 +227,7 @@ fn encode_compile(output: &WorkloadOutput) -> Result<Json, String> {
 
 fn decode_perturb(label: &str, params: &Json) -> Result<Box<dyn Workload>, String> {
     let ham = parse_hamiltonian(params)?;
-    let config = PerturbationConfig {
-        samples: usize_field(params, "samples").map_err(|e| e.message)?,
-        magnitude: f64_field(params, "magnitude").map_err(|e| e.message)?,
-        probability: f64_field(params, "probability").map_err(|e| e.message)?,
-        seed: u64_field(params, "seed").map_err(|e| e.message)?,
-    };
+    let config = perturbation_from_json(params).map_err(|e| e.message)?;
     Ok(Box::new(PerturbAverageWorkload::new(label, ham, config)))
 }
 

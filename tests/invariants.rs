@@ -306,8 +306,7 @@ fn bipartite_flow_conserves_the_marginals() {
         },
         |(marginal, costs)| {
             let n = marginal.len();
-            let sol =
-                bipartite::solve(marginal, costs, |i, j| i != j).map_err(|e| e.to_string())?;
+            let (sol, _) = bipartite::solve(marginal, costs, None).map_err(|e| e.to_string())?;
             for i in 0..n {
                 let row: f64 = sol.flows[i].iter().sum();
                 let col: f64 = (0..n).map(|k| sol.flows[k][i]).sum();
@@ -375,8 +374,7 @@ fn bipartite_flow_is_optimal_against_brute_force_matching() {
         },
         |(marginal, costs)| {
             let n = marginal.len();
-            let sol =
-                bipartite::solve(marginal, costs, |i, j| i != j).map_err(|e| e.to_string())?;
+            let (sol, _) = bipartite::solve(marginal, costs, None).map_err(|e| e.to_string())?;
             let mut best = f64::INFINITY;
             permutations(n, &mut |perm| {
                 if perm.iter().enumerate().all(|(i, &j)| i != j) {
@@ -415,10 +413,10 @@ fn network_simplex_is_optimal_against_brute_force_matching() {
         },
         |(marginal, costs, seed_costs)| {
             let n = marginal.len();
-            let (_, basis) = bipartite::solve_with_basis(marginal, seed_costs, |i, j| i != j)
-                .map_err(|e| e.to_string())?;
-            let (sol, _) = bipartite::solve_warm(marginal, costs, |i, j| i != j, &basis)
-                .map_err(|e| e.to_string())?;
+            let (_, basis) =
+                bipartite::solve(marginal, seed_costs, None).map_err(|e| e.to_string())?;
+            let (sol, _) =
+                bipartite::solve(marginal, costs, Some(&basis)).map_err(|e| e.to_string())?;
             ok_if(sol.warm_start, || {
                 "matching basis was not reused for the warm solve".to_string()
             })?;
@@ -456,8 +454,7 @@ fn gc_transition_matrix_agrees_with_the_flow_it_came_from() {
         |ham| {
             let pi = ham.stationary_distribution();
             let costs = cnot_cost_matrix(ham);
-            let flow_sol =
-                bipartite::solve(&pi, &costs, |i, j| i != j).map_err(|e| e.to_string())?;
+            let (flow_sol, _) = bipartite::solve(&pi, &costs, None).map_err(|e| e.to_string())?;
             let (_, cost) = gate_cancellation_matrix_with_cost(ham).map_err(|e| e.to_string())?;
             ok_if((flow_sol.cost - cost).abs() < 1e-6, || {
                 format!("flow cost {} vs matrix cost {cost}", flow_sol.cost)
